@@ -1,14 +1,15 @@
 //! E15 — the event-loop serving path under saturation.
 //!
-//! Four gates on the nonblocking serving rewrite (PR 8):
+//! Four gates on the serving transport:
 //!
-//! 1. **Identity** — the event-loop server and the legacy blocking server
-//!    return bit-identical fused results for every demo scenario at
-//!    intra-query parallelism degrees 1–4 (the serving transport must not
-//!    perturb pipeline output).
-//! 2. **Tail latency at 16× the connections** — a mixed read/update load
-//!    at 128 connections must keep p99 at or below the *old* blocking
-//!    server's p99 at just 8 connections (190.463 ms, `BENCH_serving.json`).
+//! 1. **Identity** — every fused result served over HTTP is bit-identical
+//!    to in-process `FusionService::query` over the same tables, for every
+//!    demo scenario at intra-query parallelism degrees 1–4 (the serving
+//!    transport must not perturb pipeline output).
+//! 2. **Tail latency at 16× the connections** — the same mixed
+//!    read/update load runs at 1, 8 and 128 connections; p99 at 128 must
+//!    stay at or below 16× the p99 measured at 8 in the same run, i.e. no
+//!    worse than linear queueing.
 //! 3. **Overload sheds, never stalls** — with `max_connections` below the
 //!    offered concurrency, the server answers the excess with fast 503s
 //!    and keeps serving afterwards.
@@ -24,19 +25,28 @@ use hummer_delta::TableDelta;
 use hummer_engine::{csv, Value};
 use hummer_server::loadgen::{
     http_request, run_load, scenario_worlds, update_pool_for_worlds, upload_world, LoadConfig,
+    LoadReport,
 };
+use hummer_server::service::query_result_to_json;
 use hummer_server::{
     CatalogStore, FusionService, HummerServer, Json, Parallelism, ServerConfig, ServiceConfig,
-    ServingMode, StoreOptions,
+    StoreOptions,
 };
 use hummer_store::scratch;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The old blocking server's p99 at 8 connections (BENCH_serving.json):
-/// the ceiling the event loop must stay under at 128 connections.
-const BASELINE_P99_MS: f64 = 190.463;
+/// Connection counts of the mixed load, in run order; the p99 at
+/// [`BASELINE_CONNS`] bounds the p99 at [`PEAK_CONNS`].
+const LOAD_CONNS: [usize; 3] = [1, BASELINE_CONNS, PEAK_CONNS];
+const BASELINE_CONNS: usize = 8;
+const PEAK_CONNS: usize = 128;
+/// Requests per load run (10 per connection at the peak).
+const LOAD_REQUESTS: usize = 1280;
+/// Allowed p99 growth from 8 to 128 connections: the connection ratio,
+/// i.e. linear queueing.
+const QUEUEING_FACTOR: f64 = (PEAK_CONNS / BASELINE_CONNS) as f64;
 /// Minimum fsync/no-fsync throughput ratio through group commit.
 const GROUP_COMMIT_FLOOR: f64 = 0.85;
 /// Writers × records for the group-commit throughput measurement. 16
@@ -55,18 +65,17 @@ const SCENARIO_NAMES: [&str; 4] = [
     "cleansing_service",
 ];
 
-fn start_server(
-    mode: ServingMode,
-    degree: usize,
-    max_connections: usize,
-) -> (String, impl FnOnce()) {
+fn service_config(degree: usize) -> ServiceConfig {
     let mut service = ServiceConfig::narrow_schema();
     service.pipeline.parallelism = Parallelism::degree(degree);
+    service
+}
+
+fn start_server(degree: usize, max_connections: usize) -> (String, impl FnOnce()) {
     let server = HummerServer::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         threads: 4,
-        service,
-        mode,
+        service: service_config(degree),
         max_connections,
         ..ServerConfig::default()
     })
@@ -92,24 +101,32 @@ fn query_result(addr: &str, sql: &str) -> String {
         .to_string_compact()
 }
 
-/// Gate 1: blocking vs event fused output, degrees 1–4.
+/// Gate 1: served vs in-process fused output, degrees 1–4.
 fn identity_gate() -> (bool, Vec<Json>) {
     let worlds = scenario_worlds(4, 40, 2005);
     let mut reports = Vec::new();
     let mut identical = true;
     for degree in 1..=4 {
-        let mut fingerprints: Vec<Vec<String>> = Vec::new();
-        for mode in [ServingMode::Event, ServingMode::Blocking] {
-            let (addr, stop) = start_server(mode, degree, 1024);
-            let mut per_world = Vec::new();
-            for (i, world) in worlds.iter().enumerate() {
-                let sql = upload_world(&addr, &format!("w{i}"), world).expect("upload world");
-                per_world.push(query_result(&addr, &sql));
+        let (addr, stop) = start_server(degree, 1024);
+        let reference = FusionService::new(service_config(degree));
+        let mut same = true;
+        for (i, world) in worlds.iter().enumerate() {
+            let prefix = format!("w{i}");
+            let sql = upload_world(&addr, &prefix, world).expect("upload world");
+            for source in &world.sources {
+                let alias = format!("{prefix}_{}", source.table.name());
+                reference
+                    .put_table(&alias, &csv::write_csv_str(&source.table))
+                    .expect("register in-process");
             }
-            stop();
-            fingerprints.push(per_world);
+            let local = reference.query(&sql).expect("in-process query");
+            let local = query_result_to_json(&local)
+                .get("result")
+                .expect("result field")
+                .to_string_compact();
+            same &= query_result(&addr, &sql) == local;
         }
-        let same = fingerprints[0] == fingerprints[1];
+        stop();
         identical &= same;
         reports.push(
             Json::object()
@@ -203,12 +220,12 @@ fn group_commit_run(
 }
 
 fn main() -> ExitCode {
-    println!("E15 — event-loop serving: identity, 128-connection tail, overload, group commit\n");
+    println!("E15 — serving: identity, 1/8/128-connection load, overload, group commit\n");
 
-    // ---- Gate 1: identity across serving modes, degrees 1-4. ----
+    // ---- Gate 1: served vs in-process output, degrees 1-4. ----
     let (identical, identity_reports) = identity_gate();
     println!(
-        "identity (event vs blocking, degrees 1-4): {}",
+        "identity (HTTP vs in-process, degrees 1-4): {}",
         if identical {
             "bit-identical"
         } else {
@@ -216,8 +233,8 @@ fn main() -> ExitCode {
         }
     );
 
-    // ---- Gate 2: mixed load at 128 connections on the event loop. ----
-    let (addr, stop) = start_server(ServingMode::Event, 1, 1024);
+    // ---- Gate 2: the same mixed load at 1, 8 and 128 connections. ----
+    let (addr, stop) = start_server(1, 1024);
     let worlds = scenario_worlds(4, 40, 2005);
     let mut sql_pool = Vec::new();
     for (i, world) in worlds.iter().enumerate() {
@@ -231,14 +248,20 @@ fn main() -> ExitCode {
         .enumerate()
         .map(|(i, w)| (format!("w{i}"), w))
         .collect();
-    let load = run_load(&LoadConfig {
-        addr: addr.clone(),
-        connections: 128,
-        requests: 1280,
-        sql_pool: sql_pool.clone(),
-        update_every: 8, // 12.5% writes
-        update_pool: update_pool_for_worlds(&prefixed),
-    });
+    let update_pool = update_pool_for_worlds(&prefixed);
+    let loads: Vec<LoadReport> = LOAD_CONNS
+        .iter()
+        .map(|&connections| {
+            run_load(&LoadConfig {
+                addr: addr.clone(),
+                connections,
+                requests: LOAD_REQUESTS,
+                sql_pool: sql_pool.clone(),
+                update_every: 8, // 12.5% writes
+                update_pool: update_pool.clone(),
+            })
+        })
+        .collect();
     let (_, metrics_body) =
         http_request(&addr, "GET", "/metrics.json", "text/plain", b"").expect("metrics");
     let serving = Json::parse(&metrics_body)
@@ -247,13 +270,13 @@ fn main() -> ExitCode {
         .cloned()
         .expect("serving section");
     stop();
-    println!(
-        "{}",
-        render_table(
-            &["conns", "requests", "ok", "err", "rejects", "rps", "p50", "p99", "p999"],
-            &[vec![
-                "128".into(),
-                "1280".into(),
+    let rows: Vec<Vec<String>> = LOAD_CONNS
+        .iter()
+        .zip(&loads)
+        .map(|(conns, load)| {
+            vec![
+                conns.to_string(),
+                LOAD_REQUESTS.to_string(),
                 load.ok.to_string(),
                 load.errors.to_string(),
                 load.rejects.to_string(),
@@ -261,12 +284,27 @@ fn main() -> ExitCode {
                 format!("{:.2}", load.p50_ms),
                 format!("{:.2}", load.p99_ms),
                 format!("{:.2}", load.p999_ms),
-            ]],
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &["conns", "requests", "ok", "err", "rejects", "rps", "p50", "p99", "p999"],
+            &rows,
         )
+    );
+    let at = |conns: usize| &loads[LOAD_CONNS.iter().position(|&c| c == conns).unwrap()];
+    let (baseline, peak) = (at(BASELINE_CONNS), at(PEAK_CONNS));
+    let p99_bound_ms = QUEUEING_FACTOR * baseline.p99_ms;
+    println!(
+        "p99 at {PEAK_CONNS} connections: {:.2} ms, bound {QUEUEING_FACTOR}x the p99 at \
+         {BASELINE_CONNS} = {p99_bound_ms:.2} ms\n",
+        peak.p99_ms
     );
 
     // ---- Gate 3: overload sheds with 503s and the server survives. ----
-    let (addr, stop) = start_server(ServingMode::Event, 1, 16);
+    let (addr, stop) = start_server(1, 16);
     let worlds_small = scenario_worlds(1, 40, 7);
     let sql = upload_world(&addr, "o0", &worlds_small[0]).expect("upload world");
     query_result(&addr, &sql);
@@ -313,33 +351,48 @@ fn main() -> ExitCode {
     );
 
     // ---- Report + gates. ----
-    let gate_p99 = load.p99_ms <= BASELINE_P99_MS && load.errors == 0;
+    let load_errors: usize = loads.iter().map(|l| l.errors).sum();
+    let gate_p99 = peak.p99_ms <= p99_bound_ms && load_errors == 0;
     let gate_overload = overload.rejects >= 1 && health_status == 200;
     let gate_ratio = ratio >= GROUP_COMMIT_FLOOR;
     let report = Json::object()
         .with("experiment", "exp15_serving")
         .with(
             "contract",
-            "event-loop serving: fused output identical to the blocking server at degrees 1-4; \
-             p99 at 128 connections no worse than the blocking server's p99 at 8; overload \
+            "serving: fused output over HTTP identical to in-process FusionService::query at \
+             degrees 1-4; p99 at 128 connections <= 16x the same run's p99 at 8; overload \
              answers 503 and keeps serving; group-commit fsync throughput >= 85% of no-fsync",
         )
         .with("identity", Json::Arr(identity_reports))
         .with(
             "load",
             Json::object()
-                .with("connections", 128usize)
-                .with("requests", 1280usize)
+                .with("requests", LOAD_REQUESTS)
                 .with("update_every", 8usize)
-                .with("ok", load.ok)
-                .with("errors", load.errors)
-                .with("rejects", load.rejects)
-                .with("updates_ok", load.updates_ok)
-                .with("throughput_rps", load.throughput_rps)
-                .with("p50_ms", load.p50_ms)
-                .with("p99_ms", load.p99_ms)
-                .with("p999_ms", load.p999_ms)
-                .with("baseline_p99_at_8_conns_ms", BASELINE_P99_MS)
+                .with(
+                    "runs",
+                    Json::Arr(
+                        LOAD_CONNS
+                            .iter()
+                            .zip(&loads)
+                            .map(|(&conns, load)| {
+                                Json::object()
+                                    .with("connections", conns)
+                                    .with("ok", load.ok)
+                                    .with("errors", load.errors)
+                                    .with("rejects", load.rejects)
+                                    .with("updates_ok", load.updates_ok)
+                                    .with("throughput_rps", load.throughput_rps)
+                                    .with("p50_ms", load.p50_ms)
+                                    .with("p99_ms", load.p99_ms)
+                                    .with("p999_ms", load.p999_ms)
+                            })
+                            .collect(),
+                    ),
+                )
+                .with("baseline_p99_at_8_conns_ms", baseline.p99_ms)
+                .with("queueing_factor", QUEUEING_FACTOR)
+                .with("p99_bound_at_128_conns_ms", p99_bound_ms)
                 .with("serving_counters", serving),
         )
         .with(
@@ -378,14 +431,14 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     if !identical {
-        eprintln!("FAIL: event/blocking fused outputs diverged");
+        eprintln!("FAIL: served and in-process fused outputs diverged");
         failed = true;
     }
     if !gate_p99 {
         eprintln!(
-            "FAIL: p99 {:.2} ms at 128 connections exceeds the {BASELINE_P99_MS} ms baseline \
-             (or load errors: {})",
-            load.p99_ms, load.errors
+            "FAIL: p99 {:.2} ms at {PEAK_CONNS} connections exceeds {p99_bound_ms:.2} ms \
+             ({QUEUEING_FACTOR}x the p99 at {BASELINE_CONNS}), or load errors: {load_errors}",
+            peak.p99_ms
         );
         failed = true;
     }

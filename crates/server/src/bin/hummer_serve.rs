@@ -3,7 +3,7 @@
 //! ```text
 //! hummer-serve [--addr HOST:PORT] [--threads N] [--par N] [--cache N]
 //!              [--narrow-schemas] [--preload NAME=FILE.csv ...]
-//!              [--blocking] [--max-connections N] [--read-timeout-ms N]
+//!              [--max-connections N] [--read-timeout-ms N]
 //!              [--idle-timeout-ms N]
 //!              [--coordinator workers=HOST:PORT,HOST:PORT] [--shards K]
 //!              [--worker-timeout-ms N] [--no-fallback]
@@ -22,7 +22,7 @@
 //! `--par N` sets the intra-query thread budget each request may use for
 //! the parallelizable pipeline stages (matching, detection, fusion).
 //! Without the flag the budget defaults to the fair per-worker share of
-//! the machine, `max(1, cores / --threads)`, so worker pool × intra-query
+//! the machine, `max(1, cores / --threads)`, so serving workers × intra-query
 //! threads ≈ cores instead of oversubscribing.
 //!
 //! With `--data-dir` the catalog is durable: the server recovers every
@@ -35,8 +35,7 @@
 //! requests and exits 0.
 
 use hummer_server::{
-    CoordinatorOptions, EventLog, HummerServer, ObsConfig, Parallelism, ServerConfig,
-    ServiceConfig, ServingMode,
+    CoordinatorOptions, EventLog, HummerServer, ObsConfig, Parallelism, ServerConfig, ServiceConfig,
 };
 use std::process::ExitCode;
 use std::time::Duration;
@@ -46,23 +45,20 @@ usage: hummer-serve [OPTIONS]
 
 Serving:
   --addr HOST:PORT        bind address (default 127.0.0.1:7878; port 0 = ephemeral)
-  --threads N             worker threads (default 4). Event mode: each worker
-                          multiplexes many connections; blocking mode: one
-                          connection per worker
+  --threads N             worker threads (default 4); each worker multiplexes
+                          many connections and waits for readiness in poll(2)
   --par N                 intra-query thread budget per request
                           (default: max(1, cores / --threads))
   --cache N               prepared-pipeline cache capacity, in source sets (default 64)
   --narrow-schemas        pipeline tuning for narrow (2-3 column) sources
   --preload NAME=FILE.csv register a CSV file before serving (repeatable)
-  --blocking              serve with the legacy thread-per-connection blocking
-                          path instead of the nonblocking event loop
   --max-connections N     admission cap on open connections; arrivals beyond it
-                          get 503 + Retry-After (event mode; default 1024)
+                          get 503 + Retry-After (default 1024)
   --read-timeout-ms N     a started request must arrive in full within N ms or
                           the connection is answered 408 and closed
-                          (event mode; default 30000)
+                          (default 30000)
   --idle-timeout-ms N     idle keep-alive connections are reclaimed after N ms
-                          (event mode; default 60000)
+                          (default 60000)
 
 Coordinator mode (see README \"Distributed fusion\"):
   --coordinator workers=HOST:PORT,HOST:PORT
@@ -208,7 +204,6 @@ fn main() -> ExitCode {
                     .get_or_insert_with(CoordinatorOptions::default)
                     .fallback_local = false;
             }
-            "--blocking" => config.mode = ServingMode::Blocking,
             "--max-connections" => {
                 config.max_connections = args
                     .next()
@@ -329,13 +324,9 @@ fn main() -> ExitCode {
         );
     }
     eprintln!(
-        "hummer-serve: listening on {} ({} mode, {} workers x {} intra-query threads, \
+        "hummer-serve: listening on {} ({} workers x {} intra-query threads, \
          tracing {}); POST /shutdown to stop",
         server.local_addr(),
-        match config.mode {
-            ServingMode::Event => "event",
-            ServingMode::Blocking => "blocking",
-        },
         config.threads.max(1),
         config.service.pipeline.parallelism.get(),
         if trace {

@@ -92,15 +92,26 @@ impl PreparedCache {
     }
 
     /// Insert artifacts under `key`, evicting the least-recently-used entry
-    /// beyond capacity and any stale versions of the same source names.
+    /// beyond capacity and any older versions of the same source names.
+    ///
+    /// Content versions only grow, so a cached entry over the same names
+    /// with any newer version means `key` is already stale: a late insert
+    /// (a slow prepare finishing after a delta upgraded the entry) is
+    /// skipped instead of evicting the newer entry.
     pub fn insert(&mut self, key: PreparedKey, artifacts: Arc<PreparedSources>) {
-        // A new version of a source set makes all entries over the same
-        // names dead weight; drop them eagerly rather than waiting for LRU.
-        let names: Vec<&String> = key.iter().map(|(n, _)| n).collect();
+        let same_names = |k: &PreparedKey| {
+            k.len() == key.len() && k.iter().zip(&key).all(|((a, _), (b, _))| a == b)
+        };
+        let newer = |k: &PreparedKey| k.iter().zip(&key).any(|((_, v), (_, mine))| v > mine);
+        if self.entries.keys().any(|k| same_names(k) && newer(k)) {
+            return;
+        }
+        // Every other entry over the same names is older: dead weight, so
+        // drop it eagerly rather than waiting for LRU.
         let stale: Vec<PreparedKey> = self
             .entries
             .keys()
-            .filter(|k| *k != &key && k.iter().map(|(n, _)| n).eq(names.iter().copied()))
+            .filter(|k| *k != &key && same_names(k))
             .cloned()
             .collect();
         for k in stale {
@@ -237,6 +248,19 @@ mod tests {
         assert_eq!(c.entries_for_source("a", 3).len(), 1);
         // No recency refresh, no counter movement.
         assert_eq!(c.stats().hits, 0);
+    }
+
+    #[test]
+    fn late_insert_of_an_older_version_keeps_the_newer_entry() {
+        let mut c = PreparedCache::new(4);
+        c.insert(key(&[("a", 1), ("b", 2)]), artifacts());
+        // A slow prepare keyed before the delta finishes last.
+        c.insert(key(&[("a", 1), ("b", 1)]), artifacts());
+        let s = c.stats();
+        assert_eq!((s.entries, s.evictions), (1, 0));
+        assert_eq!(c.entries_for_source("b", 2).len(), 1);
+        assert!(c.entries_for_source("b", 1).is_empty());
+        assert!(c.get(&key(&[("a", 1), ("b", 2)])).is_some());
     }
 
     #[test]

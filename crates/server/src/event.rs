@@ -1,12 +1,14 @@
-//! The nonblocking event-loop serving path.
+//! The serving transport: nonblocking sockets driven by `poll(2)`.
 //!
-//! `std`-only readiness handling: the listener and every accepted socket
-//! run in nonblocking mode, and each worker thread sweeps its own set of
-//! per-connection state machines — accept a burst, pump every connection
-//! one step, sleep ~1 ms only when nothing moved. With no `epoll` binding
-//! available (this workspace forbids non-`std` dependencies), the sweep
-//! *is* the readiness mechanism; at the north-star scale of hundreds of
-//! connections per worker the sweep cost is dwarfed by request execution.
+//! The listener and every accepted socket run in nonblocking mode, and each
+//! worker thread owns a set of per-connection state machines. A sweep
+//! accepts a burst, then pumps every owned connection one step. When a
+//! sweep moves nothing, the worker blocks in `poll(2)` on the shared
+//! listener plus its own connections (`POLLIN` while reading, `POLLOUT`
+//! while writing) until one is ready or the nearest connection deadline
+//! (read, idle or write) is due — at most [`POLL_CAP`], so a shutdown is
+//! noticed even if its wake-up connection went to another worker. A ready
+//! connection is served as soon as the kernel reports it.
 //!
 //! ## Per-connection state machine
 //!
@@ -26,10 +28,9 @@
 //!   `never valid` (400). A started request that stalls past the read
 //!   deadline is answered `408` and closed; a connection idle past the
 //!   idle deadline is reclaimed silently.
-//! * **executing** — the request runs *inline* on the worker through the
-//!   same `execute_request` as the blocking path (panic
-//!   containment included: a panicked handler yields `500` + close and the
-//!   slot is recycled).
+//! * **executing** — the request runs *inline* on the worker through
+//!   `execute_request` (panic containment included: a panicked handler
+//!   yields `500` + close and the slot is recycled).
 //! * **writing** — the serialized response drains through nonblocking
 //!   writes; on completion the connection returns to reading (keep-alive)
 //!   or closes.
@@ -48,10 +49,12 @@
 //!
 //! The shutdown flag stops accepting; idle connections close immediately,
 //! in-flight requests finish and flush; each worker exits once its set is
-//! empty.
+//! empty. The wake-up connection that [`ShutdownHandle::shutdown`] opens
+//! makes the listener readable, which ends every worker's wait.
 
 use crate::error::ServerError;
 use crate::http::{try_parse_request, write_response, Response};
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::server::{execute_request, HummerServer, ShutdownHandle};
 use crate::service::FusionService;
 use std::io::{ErrorKind, Read, Write};
@@ -65,8 +68,9 @@ use std::time::{Duration, Instant};
 /// established connections.
 const ACCEPT_BURST: usize = 32;
 
-/// How long a worker parks when a full sweep made no progress.
-const PARK: Duration = Duration::from_millis(1);
+/// The longest a worker waits in `poll(2)` before re-checking the shutdown
+/// flag, even when no connection deadline is nearer.
+pub const POLL_CAP: Duration = Duration::from_millis(50);
 
 /// Read chunk size per pump step.
 const READ_CHUNK: usize = 16 * 1024;
@@ -82,6 +86,19 @@ struct Options {
 /// Was the transient error a "try again later" (nonblocking readiness)?
 fn would_block(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted)
+}
+
+/// How long a worker with nothing to do may wait: until the nearest of
+/// `deadlines` (zero once one has passed), and never longer than `cap`.
+pub fn poll_timeout(
+    now: Instant,
+    deadlines: impl IntoIterator<Item = Instant>,
+    cap: Duration,
+) -> Duration {
+    deadlines
+        .into_iter()
+        .map(|d| d.saturating_duration_since(now))
+        .fold(cap, Duration::min)
 }
 
 /// Serve `server` with the event loop until shutdown; returns after every
@@ -126,8 +143,8 @@ pub(crate) fn run(server: HummerServer) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One worker: accept a burst, pump every owned connection, park briefly
-/// when idle.
+/// One worker: accept a burst, pump every owned connection, wait for
+/// readiness when nothing moved.
 fn worker_loop(
     listener: &TcpListener,
     service: &Arc<FusionService>,
@@ -139,9 +156,12 @@ fn worker_loop(
     let handle = ShutdownHandle::from_parts(local_addr, Arc::clone(shutdown));
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
+    // Reused across waits: the loop allocates nothing per wait.
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         let shutting_down = shutdown.load(Ordering::SeqCst);
         let mut progress = false;
+        let mut accept_failed = false;
 
         if !shutting_down {
             for _ in 0..ACCEPT_BURST {
@@ -163,7 +183,13 @@ fn worker_loop(
                         }
                     }
                     Err(ref e) if would_block(e) => break,
-                    Err(_) => break, // transient accept failure
+                    Err(_) => {
+                        // Transient accept failure (e.g. out of descriptors):
+                        // the listener stays readable, so leave it out of
+                        // the wait and retry after it instead of spinning.
+                        accept_failed = true;
+                        break;
+                    }
                 }
             }
         }
@@ -188,7 +214,18 @@ fn worker_loop(
             return;
         }
         if !progress {
-            std::thread::sleep(PARK);
+            // Nothing moved: sleep until a socket is ready or a deadline is
+            // due. A shutting-down worker stops watching the listener — it
+            // accepts nothing more, and the unaccepted wake-up connection
+            // would keep it readable.
+            fds.clear();
+            if !shutting_down && !accept_failed {
+                fds.push(PollFd::new(listener, POLLIN));
+            }
+            fds.extend(conns.iter().map(Conn::interest));
+            let deadlines = conns.iter().map(|c| c.deadline);
+            let timeout = poll_timeout(Instant::now(), deadlines, POLL_CAP);
+            poll::wait(&mut fds, timeout);
         }
     }
 }
@@ -221,7 +258,7 @@ fn reject_overloaded(stream: TcpStream, service: &FusionService) {
 /// What the sweep should do with a connection after one pump.
 enum Pump {
     /// Keep the connection; `moved` reports whether any byte or state
-    /// transition happened (drives the park heuristic).
+    /// transition happened (a sweep where nothing moved ends in a wait).
     Keep { moved: bool },
     /// Remove and drop the connection, releasing its slot.
     Close,
@@ -246,7 +283,7 @@ struct Conn {
     state: ConnState,
     /// When the current activity expires: read deadline while a request is
     /// in flight, idle deadline between requests, write deadline while
-    /// draining.
+    /// draining. The nearest one bounds the worker's wait.
     deadline: Instant,
     /// A request has started arriving (first byte seen, not yet answered).
     in_request: bool,
@@ -297,6 +334,15 @@ impl Conn {
             self.pretrace,
             now.saturating_duration_since(self.phase_since),
         )
+    }
+
+    /// What to wait for: request bytes while reading, buffer space while
+    /// writing.
+    fn interest(&self) -> PollFd {
+        match self.state {
+            ConnState::Reading => PollFd::new(&self.stream, POLLIN),
+            ConnState::Writing => PollFd::new(&self.stream, POLLOUT),
+        }
     }
 
     /// Record time spent in the current phase and enter a new one.

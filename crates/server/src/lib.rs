@@ -2,9 +2,9 @@
 //!
 //! The paper's HumMer is a library plus one-shot experiment binaries; this
 //! crate is the production shape the ROADMAP asks for: a multi-threaded
-//! HTTP/1.1 server (`std::net` only — no external dependencies) owning a
-//! shared, versioned table catalog and serving Fuse By SQL over a small
-//! JSON wire protocol.
+//! HTTP/1.1 server (`std::net` plus one `poll(2)` binding — no external
+//! dependencies) owning a shared, versioned table catalog and serving Fuse
+//! By SQL over a small JSON wire protocol.
 //!
 //! The performance centerpiece is the **prepared-pipeline cache**
 //! ([`cache`]): DUMAS schema matching, the renamed outer-union transform,
@@ -15,11 +15,10 @@
 //! * [`service`] — the transport-independent core: catalog, cache, metrics,
 //!   and the optional durable store (`hummer_store`) that write-ahead-logs
 //!   every catalog mutation and recovers it on boot;
-//! * [`server`] — listener, routing, graceful shutdown, and the serving
-//!   mode switch ([`ServingMode`]);
-//! * [`event`] — the default nonblocking event-loop serving path:
-//!   per-connection state machines, read/idle timeouts, 503 admission
-//!   control (the blocking worker-[`pool`] path stays selectable);
+//! * [`server`] — listener, routing, graceful shutdown;
+//! * [`event`] — the serving transport: per-worker `poll(2)` readiness over
+//!   nonblocking sockets, per-connection state machines, read/idle
+//!   timeouts, 503 admission control;
 //! * [`http`] — minimal HTTP/1.1 request/response framing;
 //! * [`json`] — the hand-rolled JSON writer/parser the wire protocol uses;
 //! * [`error`] — [`ServerError`] with HTTP status mapping;
@@ -60,7 +59,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod error;
@@ -69,7 +68,8 @@ pub mod http;
 pub mod json;
 pub mod loadgen;
 pub mod metrics;
-pub mod pool;
+#[allow(unsafe_code)]
+mod poll;
 pub mod promlint;
 pub mod server;
 pub mod service;
@@ -81,8 +81,7 @@ pub use hummer_obs::{EventLog, EventRecord};
 pub use hummer_store::{CatalogStore, StoreOptions, StoreStats};
 pub use json::{Json, JsonError};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use pool::ThreadPool;
-pub use server::{HummerServer, ServerConfig, ServingMode, ShutdownHandle};
+pub use server::{HummerServer, ServerConfig, ShutdownHandle};
 pub use service::{
     parse_delta, CoordinatorOptions, DeltaApplyResult, FusionService, QueryResult, ServiceConfig,
     TableInfo,

@@ -108,7 +108,7 @@ pub struct ShardAggregate {
     pub worker_batches: u64,
 }
 
-/// Serving-path (event loop / worker pool) health counters.
+/// Serving-path (event loop) health counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServingSnapshot {
     /// Connections refused with 503 because the live-connection cap was hit.

@@ -26,47 +26,31 @@
 //! the pre-crash catalog (content versions included) from the newest valid
 //! snapshot plus the WAL tail.
 //!
-//! The accept loop hands each connection to a fixed [`ThreadPool`]; one
-//! worker owns the whole keep-alive conversation. Shutdown sets a flag and
-//! nudges the listener with a loopback connection so `accept` wakes; the
-//! pool drains in-flight requests before `run` returns.
+//! [`HummerServer::run`] serves through the one transport in
+//! [`crate::event`]: each of the `threads` workers multiplexes its own
+//! connections and waits for readiness in `poll(2)`, with a timeout set by
+//! the nearest connection deadline. Shutdown sets a flag and nudges the
+//! listener with a loopback connection, which wakes every waiting worker;
+//! in-flight requests finish before `run` returns.
 
 use crate::error::{Result, ServerError};
-use crate::http::{read_request, write_response, Request, Response};
+use crate::http::{Request, Response};
 use crate::json::Json;
-use crate::pool::ThreadPool;
 use crate::service::{
     delta_result_to_json, metrics_to_json, metrics_to_prometheus, parse_delta,
     query_result_to_json, FusionService, ServiceConfig, TableInfo,
 };
 use hummer_obs::{EventRecord, Span, TraceNode, TraceTree};
 use hummer_store::{CatalogStore, StoreOptions};
-use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which I/O discipline [`HummerServer::run`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServingMode {
-    /// Nonblocking readiness-driven event loop (the default): each worker
-    /// multiplexes many connections through per-connection state machines,
-    /// with read/idle timeouts and 503 admission control. See the
-    /// [`crate::event`] module.
-    #[default]
-    Event,
-    /// Thread-per-connection blocking I/O: one pool worker owns the whole
-    /// keep-alive conversation. Kept selectable for apples-to-apples
-    /// comparisons (the exp15 identity gate runs both modes against the
-    /// same catalog).
-    Blocking,
-}
-
 /// Server construction parameters.
 ///
-/// Two thread layers compose here: the worker pool (`threads`) provides
+/// Two thread layers compose here: the serving workers (`threads`) provide
 /// *inter*-query concurrency, while `service.pipeline.parallelism` is the
 /// *intra*-query degree each request may fan pipeline stages out to.
 /// Configure them so they multiply to roughly the machine —
@@ -77,7 +61,7 @@ pub enum ServingMode {
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker threads (each owns one connection at a time).
+    /// Serving worker threads; each multiplexes many connections.
     pub threads: usize,
     /// Service (pipeline + cache) configuration, including the per-request
     /// intra-query parallelism knob.
@@ -89,18 +73,15 @@ pub struct ServerConfig {
     /// Store tuning (fsync discipline, compaction threshold); only
     /// meaningful with `data_dir`.
     pub store: StoreOptions,
-    /// I/O discipline: nonblocking event loop (default) or the legacy
-    /// thread-per-connection blocking path.
-    pub mode: ServingMode,
-    /// Admission cap on concurrently open connections (event mode).
+    /// Admission cap on concurrently open connections.
     /// Arrivals beyond the cap get `503` + `Retry-After` and are closed
     /// instead of queueing unboundedly.
     pub max_connections: usize,
     /// How long a *started* request may take to arrive in full before the
-    /// connection is answered `408` and closed (event mode).
+    /// connection is answered `408` and closed.
     pub read_timeout: Duration,
     /// How long a keep-alive connection may sit idle between requests
-    /// before it is silently reclaimed (event mode).
+    /// before it is silently reclaimed.
     pub idle_timeout: Duration,
 }
 
@@ -112,7 +93,6 @@ impl Default for ServerConfig {
             service: ServiceConfig::default(),
             data_dir: None,
             store: StoreOptions::default(),
-            mode: ServingMode::default(),
             max_connections: 1024,
             read_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(60),
@@ -133,11 +113,11 @@ impl ShutdownHandle {
         ShutdownHandle { addr, flag }
     }
 
-    /// Request shutdown: set the flag and wake the acceptor.
+    /// Request shutdown: set the flag and wake the workers.
     pub fn shutdown(&self) {
         self.flag.store(true, Ordering::SeqCst);
-        // Nudge the blocking accept; any connection (even one that is
-        // immediately dropped) suffices.
+        // Make the listener readable so workers waiting in `poll` wake; any
+        // connection (even one that is immediately dropped) suffices.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
 
@@ -155,7 +135,6 @@ pub struct HummerServer {
     pub(crate) threads: usize,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) local_addr: SocketAddr,
-    pub(crate) mode: ServingMode,
     pub(crate) max_connections: usize,
     pub(crate) read_timeout: Duration,
     pub(crate) idle_timeout: Duration,
@@ -181,7 +160,6 @@ impl HummerServer {
             threads: config.threads,
             shutdown: Arc::new(AtomicBool::new(false)),
             local_addr,
-            mode: config.mode,
             max_connections: config.max_connections.max(1),
             read_timeout: config.read_timeout,
             idle_timeout: config.idle_timeout,
@@ -209,106 +187,13 @@ impl HummerServer {
     /// Serve until shutdown is requested. Returns after all workers drained
     /// their in-flight connections.
     pub fn run(self) -> std::io::Result<()> {
-        match self.mode {
-            ServingMode::Event => crate::event::run(self),
-            ServingMode::Blocking => self.run_blocking(),
-        }
-    }
-
-    /// The legacy thread-per-connection path.
-    fn run_blocking(self) -> std::io::Result<()> {
-        let pool = ThreadPool::new(self.threads);
-        for stream in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue, // transient accept failure
-            };
-            let service = Arc::clone(&self.service);
-            let shutdown = self.shutdown_handle();
-            pool.execute(move || handle_connection(stream, &service, &shutdown));
-        }
-        drop(pool); // join workers: graceful drain
-        Ok(())
-    }
-}
-
-/// How often an idle worker re-checks the shutdown flag.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// Serve one keep-alive connection until close, error, or shutdown.
-fn handle_connection(stream: TcpStream, service: &FusionService, shutdown: &ShutdownHandle) {
-    let peer_writable = stream.try_clone();
-    let mut writer = match peer_writable {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    // Accept-time trace id: even a request rejected before dispatch gets
-    // an `X-Hummer-Trace` header (see `finish_rejected`).
-    let pretrace = service.tracer().allocate_trace_id();
-    // A read timeout lets the worker notice shutdown while parked on an
-    // idle keep-alive connection instead of blocking the drain forever.
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream);
-    loop {
-        // Wait for the next request's first byte via fill_buf: a timeout
-        // here consumes nothing, so polling cannot corrupt request framing.
-        match reader.fill_buf() {
-            Ok([]) => return, // clean close between requests
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.is_requested() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        // A request has started: allow a generous window for the rest of it
-        // (the clone shares the socket, so this reaches the reader too).
-        let _ = writer.set_read_timeout(Some(Duration::from_secs(30)));
-        let started = Instant::now();
-        let request = match read_request(&mut reader) {
-            Ok(Some(r)) => r,
-            Ok(None) => return, // clean close between requests
-            Err(e) => {
-                // Transport gone → nothing to answer; protocol junk → 400,
-                // stamped with the accept-time trace id and accounted under
-                // the `rejected` endpoint label.
-                if !matches!(e, ServerError::Io(_)) {
-                    let r = finish_rejected(
-                        service,
-                        error_response(&e, true),
-                        pretrace,
-                        started.elapsed(),
-                    );
-                    let _ = write_response(&mut writer, &r);
-                }
-                return;
-            }
-        };
-        let wants_close = request.wants_close();
-        let mut response = execute_request(&request, service, shutdown);
-        response.close = response.close || wants_close || shutdown.is_requested();
-        if write_response(&mut writer, &response).is_err() || response.close {
-            return;
-        }
-        let _ = writer.set_read_timeout(Some(IDLE_POLL));
+        crate::event::run(self)
     }
 }
 
 /// Execute one parsed request against the service: root span, routing,
-/// panic containment, trace header, request metrics. Both serving paths
-/// funnel through here; transport concerns (keep-alive, when to close the
-/// socket) stay with the caller — except that a panicked handler always
+/// panic containment, trace header, request metrics. Transport concerns
+/// (keep-alive, when to close the socket) stay with the caller — except that a panicked handler always
 /// demands a close, which the returned response carries.
 pub(crate) fn execute_request(
     request: &Request,

@@ -803,8 +803,8 @@ impl FusionService {
         let (artifacts, hit, shards) = self.prepared_for(&key, &tables, parent)?;
         let mut fuse_span = parent.child("fuse");
         let t0 = Instant::now();
-        // The same per-request degree the prepare stages use: the worker
-        // pool provides inter-query concurrency, `config.parallelism`
+        // The same per-request degree the prepare stages use: the serving
+        // workers provide inter-query concurrency, `config.parallelism`
         // intra-query threads — configure them to multiply to the machine
         // (see `ServerConfig`).
         let output = execute_combined_par(

@@ -3,26 +3,28 @@
 //! reclamation, admission control, and mid-request worker panics. Each
 //! scenario asserts the exact status/close behavior — and, at the end,
 //! that no connection slot leaked (the server still serves sequentially
-//! and its counters add up).
+//! and its counters add up). The last tests bind the readiness wait: a
+//! ready connection is served without waiting out the poll cap, and
+//! shutdown wakes workers parked in `poll(2)`.
 
+use hummer_server::event::{poll_timeout, POLL_CAP};
 use hummer_server::loadgen::http_request;
-use hummer_server::{HummerServer, Json, ServerConfig, ServiceConfig, ServingMode};
+use hummer_server::{HummerServer, Json, ServerConfig, ServiceConfig};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const CSV: &[u8] = b"Name,City\nJohn Smith,Berlin\nJon Smith,Berlin\n";
 const QUERY: &[u8] = b"SELECT Name, City FUSE FROM People FUSE BY (objectID)";
 
-/// An event-mode server with aggressively small timeouts so adversarial
+/// A server with aggressively small timeouts so adversarial
 /// clients are punished within test budget.
 fn tight_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         threads: 2,
         service: ServiceConfig::narrow_schema(),
-        mode: ServingMode::Event,
         read_timeout: Duration::from_millis(300),
         idle_timeout: Duration::from_millis(300),
         ..ServerConfig::default()
@@ -413,11 +415,9 @@ fn no_connection_slot_leaks_after_adversarial_traffic() {
 
 /// A handler panic mid-request must not leave the client hanging: the
 /// connection closes (the client sees EOF, not a stall) and the server
-/// keeps serving. Exercised in both serving modes — the fix lives in the
-/// shared `execute_request` path.
-fn panic_scenario(mode: ServingMode) {
+/// keeps serving. The containment lives in `execute_request`.
+fn panic_scenario() {
     let mut config = tight_config();
-    config.mode = mode;
     config.service.debug_panic_route = true;
     config.read_timeout = Duration::from_secs(30);
     config.idle_timeout = Duration::from_secs(30);
@@ -435,8 +435,7 @@ fn panic_scenario(mode: ServingMode) {
     );
     assert!(peer_closed(&mut stream), "client left hanging after panic");
 
-    // The worker (blocking) / event loop slot is recycled: fresh
-    // connections still serve.
+    // The event loop slot is recycled: fresh connections still serve.
     let (status, _) = http_request(&addr, "GET", "/healthz", "text/plain", b"").unwrap();
     assert_eq!(status, 200);
     assert_eq!(serving_counter(&addr, "worker_panics"), 1);
@@ -445,10 +444,78 @@ fn panic_scenario(mode: ServingMode) {
 
 #[test]
 fn worker_panic_closes_connection_event_mode() {
-    panic_scenario(ServingMode::Event);
+    panic_scenario();
+}
+
+/// Sequential keep-alive requests are answered as soon as they arrive: a
+/// connection left out of the worker's poll set would wait out the cap on
+/// every request.
+#[test]
+fn keep_alive_requests_do_not_wait_out_the_poll_cap() {
+    let (addr, stop) = start(tight_config());
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let requests = 50u32;
+    let started = Instant::now();
+    for _ in 0..requests {
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let (status, _, _) = read_response(&mut stream).unwrap();
+        assert_eq!(status, 200);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < POLL_CAP * requests / 5,
+        "{requests} keep-alive requests took {elapsed:?} (poll cap {POLL_CAP:?})"
+    );
+    stop();
+}
+
+/// Workers parked in `poll(2)` beside idle keep-alive connections wake on
+/// shutdown and drain promptly.
+#[test]
+fn shutdown_wakes_workers_parked_on_idle_connections() {
+    let mut config = tight_config();
+    config.idle_timeout = Duration::from_secs(30); // keep the idlers parked
+    let server = HummerServer::bind(config).expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    let handle = server.shutdown_handle();
+    let join = thread::spawn(move || server.run().unwrap());
+    let mut idlers: Vec<TcpStream> = (0..6).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+    // One round trip per idler proves each was adopted by a worker.
+    for s in &mut idlers {
+        s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(read_response(s).unwrap().0, 200);
+    }
+    thread::sleep(POLL_CAP * 2); // every worker is now waiting in poll
+
+    let started = Instant::now();
+    handle.shutdown();
+    join.join().unwrap();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < POLL_CAP * 4,
+        "shutdown took {elapsed:?} (poll cap {POLL_CAP:?})"
+    );
+    for s in &mut idlers {
+        assert!(peer_closed(s), "idle connection left open after shutdown");
+    }
 }
 
 #[test]
-fn worker_panic_closes_connection_blocking_mode() {
-    panic_scenario(ServingMode::Blocking);
+fn poll_timeout_is_the_nearest_deadline_capped() {
+    let now = Instant::now();
+    let cap = Duration::from_millis(50);
+    let ms = Duration::from_millis;
+    // The nearest deadline wins, whatever the order.
+    assert_eq!(
+        poll_timeout(now, [now + ms(30), now + ms(10), now + ms(20)], cap),
+        ms(10)
+    );
+    // A deadline already passed means no wait at all, never a negative one.
+    assert_eq!(
+        poll_timeout(now + ms(5), [now, now + ms(40)], cap),
+        Duration::ZERO
+    );
+    // Far deadlines, or none, fall back to the cap.
+    assert_eq!(poll_timeout(now, [now + ms(500)], cap), cap);
+    assert_eq!(poll_timeout(now, [], cap), cap);
 }

@@ -7,11 +7,11 @@
 #  - exp14: the observability contract — the fully-instrumented pipeline
 #    (stage spans + counters) within 3% of bare wall time on the 10k-row
 #    person_scale world, bit-identical output (writes BENCH_observability.json);
-#  - exp15: the event-loop serving contract — fused output bit-identical to
-#    the blocking server at degrees 1-4, p99 at 128 connections no worse
-#    than the blocking baseline's p99 at 8, overload sheds with 503 and
-#    keeps serving, and group-commit fsync delta throughput >= 85% of
-#    no-fsync (writes BENCH_serving2.json);
+#  - exp15: the serving contract — fused output over HTTP bit-identical to
+#    in-process FusionService::query at degrees 1-4, p99 at 128 connections
+#    no worse than 16x the p99 at 8 measured in the same run, overload
+#    sheds with 503 and keeps serving, and group-commit fsync delta
+#    throughput >= 85% of no-fsync (writes BENCH_serving2.json);
 #  - exp16: the scatter-gather sharding contract — sharded output
 #    bit-identical to the single-shard pipeline across K in {1,2,4,8} x
 #    degrees 1-4, balanced work division over two workers, and the
