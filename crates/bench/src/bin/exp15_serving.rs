@@ -27,6 +27,7 @@ use hummer_server::loadgen::{
     http_request, run_load, scenario_worlds, update_pool_for_worlds, upload_world, LoadConfig,
     LoadReport,
 };
+use hummer_server::promlint::sample;
 use hummer_server::service::query_result_to_json;
 use hummer_server::{
     CatalogStore, FusionService, HummerServer, Json, Parallelism, ServerConfig, ServiceConfig,
@@ -262,13 +263,19 @@ fn main() -> ExitCode {
             })
         })
         .collect();
-    let (_, metrics_body) =
-        http_request(&addr, "GET", "/metrics.json", "text/plain", b"").expect("metrics");
-    let serving = Json::parse(&metrics_body)
-        .expect("metrics JSON")
-        .get("serving")
-        .cloned()
-        .expect("serving section");
+    let (_, metrics) = http_request(&addr, "GET", "/metrics", "text/plain", b"").expect("metrics");
+    let serving = [
+        "overload_rejects",
+        "read_timeouts",
+        "idle_reclaims",
+        "worker_panics",
+    ]
+    .into_iter()
+    .fold(Json::object(), |doc, key| {
+        let name = format!("hummer_{key}_total");
+        let value = sample(&metrics, &name, &[]).expect("serving counter");
+        doc.with(key, value as u64)
+    });
     stop();
     let rows: Vec<Vec<String>> = LOAD_CONNS
         .iter()

@@ -33,13 +33,13 @@ use std::collections::HashMap;
 /// Bookkeeping columns excluded from `*` expansion in fusion queries.
 const BOOKKEEPING: [&str; 2] = ["sourceID", "objectID"];
 
-/// Detailed fusion by-products of a query (intermediate fused table,
-/// lineage, conflict samples) — what the demo GUI visualizes.
+/// Detailed fusion by-products of a query (fused row count, lineage,
+/// conflict samples) — what the demo GUI visualizes.
 #[derive(Debug, Clone)]
 pub struct FusionInfo {
-    /// The fused table before `HAVING`/`ORDER BY`/projection.
-    pub fused_table: Table,
-    /// Per-cell lineage of `fused_table`.
+    /// Rows of the fused table before `HAVING`/`ORDER BY`/projection.
+    pub fused_rows: usize,
+    /// Per-cell lineage of the fused table.
     pub lineage: Lineage,
     /// Sampled conflicts.
     pub sample_conflicts: Vec<SampleConflict>,
@@ -187,7 +187,7 @@ pub fn execute_combined_par(
         }
         let fused = run_fusion(combined, &spec, registry)?;
         fusion_info = Some(FusionInfo {
-            fused_table: fused.table.clone(),
+            fused_rows: fused.table.len(),
             lineage: fused.lineage,
             sample_conflicts: fused.sample_conflicts,
             conflict_count: fused.conflict_count,
@@ -634,7 +634,7 @@ mod tests {
         let out =
             run("SELECT Name, RESOLVE(Age, max) FUSE FROM EE_Student, CS_Students FUSE BY (Name)");
         let info = out.fusion.unwrap();
-        assert_eq!(info.fused_table.len(), 4);
+        assert_eq!(info.fused_rows, 4);
         assert!(info.lineage.conflict_count() >= 1);
         assert!(!info.sample_conflicts.is_empty());
         assert!(info

@@ -19,13 +19,13 @@
 //! Against a `--coordinator` server, pass `--coordinator-mode` to extend
 //! the report with scatter-gather visibility: per-request shard fan-out
 //! (from the `X-Hummer-Shards` response header) and, from the server's
-//! `/metrics.json`, per-worker call counts with p50/p99 latency plus
+//! Prometheus `/metrics`, per-worker call counts with mean latency plus
 //! retry/fallback totals.
 
 use hummer_server::loadgen::{
     http_request, run_load, scenario_worlds, update_pool_for_worlds, upload_world, LoadConfig,
 };
-use hummer_server::Json;
+use hummer_server::promlint::{parse_sample, sample};
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -122,76 +122,72 @@ fn main() -> ExitCode {
         update_pool,
     });
 
-    let metrics = http_request(&addr, "GET", "/metrics.json", "text/plain", b"")
+    let metrics = http_request(&addr, "GET", "/metrics", "text/plain", b"")
         .ok()
         .filter(|(status, _)| *status == 200)
-        .and_then(|(_, body)| Json::parse(&body).ok());
-    let cache = metrics.as_ref().and_then(|m| {
-        m.get("prepared_cache")
-            .and_then(|c| c.get("hit_rate"))
-            .and_then(Json::as_f64)
-    });
-    let store = metrics.as_ref().and_then(|m| m.get("store").cloned());
+        .map(|(_, body)| body)
+        .unwrap_or_default();
+    let series = |name: &str| sample(&metrics, name, &[]);
+    let int = |name: &str| series(name).unwrap_or(0.0) as u64;
 
     // One render path for plain and coordinator mode (the shared section —
     // including the slowest-10 trace ids — cannot diverge between them).
     print!("{}", report.render(coordinator_mode));
-    match cache {
-        Some(rate) => println!("cache_hit_rate   {rate:.3}"),
-        None => println!("cache_hit_rate   n/a"),
+    match (
+        series("hummer_prepared_cache_hits_total"),
+        series("hummer_prepared_cache_misses_total"),
+    ) {
+        (Some(hits), Some(misses)) => {
+            println!("cache_hit_rate   {:.3}", hits / (hits + misses).max(1.0))
+        }
+        _ => println!("cache_hit_rate   n/a"),
     }
     // Durable mode: surface the server's store counters so a logged-catalog
     // run is distinguishable from an in-memory one in the report.
-    match store {
-        Some(store) => {
-            let int = |key: &str| store.get(key).and_then(Json::as_i64).unwrap_or(0);
+    match series("hummer_store_recovery_seconds") {
+        Some(recovery_s) => {
             println!("durable_mode     yes");
-            println!(
-                "store_fsync      {}",
-                match store.get("fsync") {
-                    Some(Json::Bool(true)) => "on",
-                    Some(Json::Bool(false)) => "off",
-                    _ => "n/a",
-                }
-            );
-            println!("wal_bytes        {}", int("wal_bytes"));
-            println!("wal_records      {}", int("wal_records"));
-            println!("snapshots        {}", int("snapshots_written"));
-            println!(
-                "recovery_ms      {:.3}",
-                store
-                    .get("recovery_ms")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0)
-            );
+            println!("store_fsyncs     {}", int("hummer_store_fsyncs_total"));
+            println!("wal_bytes        {}", int("hummer_store_wal_bytes"));
+            println!("wal_records      {}", int("hummer_store_wal_records"));
+            println!("snapshots        {}", int("hummer_store_snapshots_total"));
+            println!("recovery_ms      {:.3}", recovery_s * 1e3);
         }
         None => println!("durable_mode     no"),
     }
-    // Coordinator-mode extras that need the server's /metrics.json:
-    // worker-level latency/retry/fallback counters as the coordinator
-    // recorded them (the client-side scatter tallies came from `render`).
+    // Coordinator-mode extras from the server's /metrics: worker-level
+    // latency/retry/fallback counters as the coordinator recorded them
+    // (the client-side scatter tallies came from `render`).
     if coordinator_mode {
-        match metrics.as_ref().and_then(|m| m.get("shard")) {
-            Some(shard) => {
-                let int = |key: &str| shard.get(key).and_then(Json::as_i64).unwrap_or(0);
-                println!("worker_requests  {}", int("worker_requests"));
-                println!("worker_retries   {}", int("worker_retries"));
-                println!("worker_fallbacks {}", int("worker_fallbacks"));
-                println!("worker_errors    {}", int("worker_errors"));
-                if let Some(workers) = shard.get("workers").and_then(Json::as_array) {
-                    for (i, w) in workers.iter().enumerate() {
-                        let f = |key: &str| w.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-                        println!(
-                            "worker_{i:02}        {} calls={} p50={:.3} ms p99={:.3} ms",
-                            w.get("worker").and_then(Json::as_str).unwrap_or("?"),
-                            w.get("calls").and_then(Json::as_i64).unwrap_or(0),
-                            f("p50_ms"),
-                            f("p99_ms"),
-                        );
-                    }
-                }
+        if series("hummer_shard_worker_requests_total").is_none() {
+            println!("shard_metrics    n/a");
+        } else {
+            for key in ["requests", "retries", "fallbacks", "errors"] {
+                let value = int(&format!("hummer_shard_worker_{key}_total"));
+                println!("{:<16} {value}", format!("worker_{key}"));
             }
-            None => println!("shard_metrics    n/a"),
+            let workers = metrics
+                .lines()
+                .filter_map(|line| parse_sample(line).ok())
+                .filter(|s| s.name == "hummer_shard_worker_seconds_count");
+            for (i, count) in workers.enumerate() {
+                let worker = count
+                    .labels
+                    .iter()
+                    .find(|(k, _)| k == "worker")
+                    .map_or("?", |(_, v)| v.as_str());
+                let sum_s = sample(
+                    &metrics,
+                    "hummer_shard_worker_seconds_sum",
+                    &[("worker", worker)],
+                )
+                .unwrap_or(0.0);
+                let mean_ms = sum_s * 1e3 / count.value.max(1.0);
+                println!(
+                    "worker_{i:02}        {worker} calls={} mean={mean_ms:.3} ms",
+                    count.value as u64
+                );
+            }
         }
     }
     if report.errors > 0 {

@@ -32,18 +32,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Hits over lookups, 0.0 when idle.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Entry {
     artifacts: Arc<PreparedSources>,
@@ -197,7 +185,6 @@ mod tests {
         assert!(c.get(&k).is_some());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //! * [`json`] — the hand-rolled JSON writer/parser the wire protocol uses;
 //! * [`error`] — [`ServerError`] with HTTP status mapping;
 //! * [`metrics`] — lock-free latency histograms (`hummer_obs`), request
-//!   counts, stage aggregates; exposed as Prometheus text on `GET /metrics`
-//!   and JSON on `GET /metrics.json`, with per-request span trees on
+//!   counts, stage histograms; exposed as Prometheus text on `GET /metrics`
+//!   (the one exposition), with per-request span trees on
 //!   `GET /trace/{id}`;
+//! * [`promlint`] — lints a Prometheus scrape and reads series back out
+//!   of one;
 //! * [`loadgen`] — the load-generating client (also a binary).
 //!
 //! ## In-process quickstart
@@ -80,7 +82,7 @@ pub use hummer_core::{ObsConfig, Parallelism, Tracer};
 pub use hummer_obs::{EventLog, EventRecord};
 pub use hummer_store::{CatalogStore, StoreOptions, StoreStats};
 pub use json::{Json, JsonError};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::Metrics;
 pub use server::{HummerServer, ServerConfig, ShutdownHandle};
 pub use service::{
     parse_delta, CoordinatorOptions, DeltaApplyResult, FusionService, QueryResult, ServiceConfig,

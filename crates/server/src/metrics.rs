@@ -1,5 +1,4 @@
-//! Request metrics: counts, latency histograms, per-stage timing
-//! aggregates.
+//! Request metrics: counts, latency histograms, per-stage histograms.
 //!
 //! One [`Metrics`] lives in the shared service. The hot recording paths —
 //! request latencies and stage latencies — go through `hummer_obs`'s
@@ -7,11 +6,10 @@
 //! sample, ~1.6% worst-case quantile error), so worker threads never
 //! contend at loadgen concurrency. The endpoint label map sits behind an
 //! `RwLock` taken for reading only; the rarely-touched aggregates
-//! (per-delta counters, stage total durations) keep a plain mutex.
+//! (per-delta and scatter counters) keep a plain mutex.
 //!
-//! `GET /metrics` renders the same registry as Prometheus text (see
-//! `service::metrics_to_prometheus`); `GET /metrics.json` renders a
-//! [`MetricsSnapshot`].
+//! `GET /metrics` renders the registry as Prometheus text (see
+//! `service::metrics_to_prometheus`); it is the only exposition.
 
 use hummer_core::StageTimings;
 use hummer_obs::{Histogram, HistogramSnapshot, HistogramVec};
@@ -38,33 +36,6 @@ impl EndpointStats {
         // bucket links directly to a fetchable `GET /trace/{id}`.
         self.latency.record_duration_with_trace(latency, trace);
     }
-}
-
-/// Cumulative pipeline-stage time across all queries served.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageAggregate {
-    /// Sum over all *prepared* runs (cache misses) of match/transform/detect,
-    /// plus every query's fusion time.
-    pub totals: StageTimings,
-    /// Number of preparation runs (== cache misses that reached the pipeline).
-    pub prepares: u64,
-    /// Number of fusion queries executed.
-    pub fusions: u64,
-}
-
-/// A point-in-time view of one endpoint's counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EndpointSnapshot {
-    /// Endpoint label, e.g. `POST /query`.
-    pub endpoint: String,
-    /// Requests served.
-    pub count: u64,
-    /// Requests that ended in an error status.
-    pub errors: u64,
-    /// Median latency in milliseconds (log-bucketed, ≤ ~1.6% high).
-    pub p50_ms: f64,
-    /// 99th-percentile latency in milliseconds (log-bucketed, ≤ ~1.6% high).
-    pub p99_ms: f64,
 }
 
 /// Cumulative delta-ingestion counters (`POST /tables/{name}/delta`).
@@ -122,31 +93,12 @@ pub struct ServingSnapshot {
     pub worker_panics: u64,
 }
 
-/// A point-in-time view of the whole metrics registry.
-#[derive(Debug, Clone)]
-pub struct MetricsSnapshot {
-    /// Total requests across endpoints.
-    pub total_requests: u64,
-    /// Total error responses across endpoints.
-    pub total_errors: u64,
-    /// Per-endpoint stats, sorted by label.
-    pub endpoints: Vec<EndpointSnapshot>,
-    /// Pipeline-stage aggregates.
-    pub stages: StageAggregate,
-    /// Delta-ingestion aggregates.
-    pub deltas: DeltaAggregate,
-    /// Scatter-gather aggregates.
-    pub shard: ShardAggregate,
-    /// Serving-path health counters.
-    pub serving: ServingSnapshot,
-}
-
 /// Thread-safe metrics registry. Recording latencies is lock-free after
 /// the first request per endpoint label.
 #[derive(Debug, Default)]
 pub struct Metrics {
     endpoints: RwLock<BTreeMap<String, Arc<EndpointStats>>>,
-    /// Stage latency histograms, labeled `[stage, layout, degree]`.
+    /// Stage latency histograms, labeled `[stage, degree]`.
     stage_hists: HistogramVec,
     /// Per-connection time spent in each lifecycle state (`reading`,
     /// `executing`, `writing`, `idle`), labeled `[state]`; microseconds.
@@ -154,43 +106,12 @@ pub struct Metrics {
     /// Coordinator-side worker-call latencies, labeled `[worker]`;
     /// microseconds.
     shard_worker_hists: HistogramVec,
-    stages: Mutex<StageAggregate>,
     deltas: Mutex<DeltaAggregate>,
     shard: Mutex<ShardAggregate>,
     overload_rejects: AtomicU64,
     read_timeouts: AtomicU64,
     idle_reclaims: AtomicU64,
     worker_panics: AtomicU64,
-}
-
-/// Nearest-rank percentile over a sample set; `p` in [0, 100]. The single
-/// percentile implementation in this crate — the server's `/metrics` and
-/// the loadgen client both report through the same log-bucketed
-/// [`Histogram`], so their p50/p99 can never silently diverge. Values are
-/// bucketed at 1/1000 granularity (milliseconds in, microsecond buckets),
-/// so results are exact below 0.064 and within ~1.6% above.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let h = Histogram::new();
-    for &v in samples {
-        h.record((v.max(0.0) * 1000.0).round() as u64);
-    }
-    h.snapshot().quantile(p / 100.0) as f64 / 1000.0
-}
-
-/// [`percentile`] over already-integer (microsecond) counters: same
-/// histogram, no scaling.
-pub fn percentile_us(values: &[u64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let h = Histogram::new();
-    for &v in values {
-        h.record(v);
-    }
-    h.snapshot().quantile(p / 100.0) as f64
 }
 
 impl Metrics {
@@ -224,33 +145,23 @@ impl Metrics {
     }
 
     /// Record a preparation run (cache miss) with its stage timings, under
-    /// the layout/degree labels it ran with.
-    pub fn record_prepare(&self, timings: &StageTimings, layout: &str, degree: usize) {
+    /// the parallelism degree it ran with.
+    pub fn record_prepare(&self, timings: &StageTimings, degree: usize) {
         let degree = degree_label(degree);
         for (stage, d) in [
             ("match", timings.matching),
             ("transform", timings.transformation),
             ("detect", timings.detection),
         ] {
-            self.stage_hists
-                .with(&[stage, layout, degree])
-                .record_duration(d);
+            self.stage_hists.with(&[stage, degree]).record_duration(d);
         }
-        let mut stages = self.stages.lock().unwrap();
-        stages.prepares += 1;
-        stages.totals.matching += timings.matching;
-        stages.totals.transformation += timings.transformation;
-        stages.totals.detection += timings.detection;
     }
 
-    /// Record one fusion execution's wall time under its labels.
-    pub fn record_fusion(&self, fusion: Duration, layout: &str, degree: usize) {
+    /// Record one fusion execution's wall time under its degree label.
+    pub fn record_fusion(&self, fusion: Duration, degree: usize) {
         self.stage_hists
-            .with(&["fuse", layout, degree_label(degree)])
+            .with(&["fuse", degree_label(degree)])
             .record_duration(fusion);
-        let mut stages = self.stages.lock().unwrap();
-        stages.fusions += 1;
-        stages.totals.fusion += fusion;
     }
 
     /// Record one applied delta batch and its cache-upgrade outcome.
@@ -330,7 +241,7 @@ impl Metrics {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Serving-path counters only (cheaper than a full [`Metrics::snapshot`]).
+    /// Serving-path (event loop) health counters.
     pub fn serving_snapshot(&self) -> ServingSnapshot {
         ServingSnapshot {
             overload_rejects: self.overload_rejects.load(Ordering::Relaxed),
@@ -340,31 +251,14 @@ impl Metrics {
         }
     }
 
-    /// Snapshot all counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut endpoints = Vec::new();
-        let mut total_requests = 0;
-        let mut total_errors = 0;
-        for (name, count, errors, latency) in self.endpoint_histograms() {
-            total_requests += count;
-            total_errors += errors;
-            endpoints.push(EndpointSnapshot {
-                endpoint: name,
-                count,
-                errors,
-                p50_ms: latency.quantile(0.5) as f64 / 1e3,
-                p99_ms: latency.quantile(0.99) as f64 / 1e3,
-            });
-        }
-        MetricsSnapshot {
-            total_requests,
-            total_errors,
-            endpoints,
-            stages: *self.stages.lock().unwrap(),
-            deltas: *self.deltas.lock().unwrap(),
-            shard: *self.shard.lock().unwrap(),
-            serving: self.serving_snapshot(),
-        }
+    /// Delta-ingestion counters.
+    pub fn deltas(&self) -> DeltaAggregate {
+        *self.deltas.lock().unwrap()
+    }
+
+    /// Scatter-gather counters.
+    pub fn shard(&self) -> ShardAggregate {
+        *self.shard.lock().unwrap()
     }
 
     /// Connection-state histograms with their `[state]` labels.
@@ -388,8 +282,8 @@ impl Metrics {
             .collect()
     }
 
-    /// Stage latency histograms with their `[stage, layout, degree]`
-    /// labels, sorted by label values.
+    /// Stage latency histograms with their `[stage, degree]` labels,
+    /// sorted by label values.
     pub fn stage_histograms(&self) -> Vec<(Vec<String>, HistogramSnapshot)> {
         self.stage_hists.snapshot()
     }
@@ -408,6 +302,24 @@ fn degree_label(degree: usize) -> &'static str {
 mod tests {
     use super::*;
 
+    /// The `(count, errors, latency)` row of one endpoint.
+    fn endpoint(m: &Metrics, label: &str) -> (u64, u64, HistogramSnapshot) {
+        m.endpoint_histograms()
+            .into_iter()
+            .find(|(name, ..)| name == label)
+            .map(|(_, count, errors, latency)| (count, errors, latency))
+            .unwrap()
+    }
+
+    /// The stage histogram under exactly these labels.
+    fn stage(m: &Metrics, labels: &[&str]) -> HistogramSnapshot {
+        m.stage_histograms()
+            .into_iter()
+            .find(|(l, _)| l.iter().map(String::as_str).eq(labels.iter().copied()))
+            .map(|(_, snap)| snap)
+            .unwrap()
+    }
+
     #[test]
     fn records_counts_and_percentiles() {
         let m = Metrics::new();
@@ -420,17 +332,13 @@ mod tests {
             );
         }
         m.record_request("GET /healthz", Duration::from_micros(50), false, None);
-        let snap = m.snapshot();
-        assert_eq!(snap.total_requests, 101);
-        assert_eq!(snap.total_errors, 10);
-        let q = snap
-            .endpoints
-            .iter()
-            .find(|e| e.endpoint == "POST /query")
-            .unwrap();
-        assert_eq!(q.count, 100);
-        assert!((q.p50_ms - 50.0).abs() < 2.0, "p50 {}", q.p50_ms);
-        assert!(q.p99_ms >= 98.0, "p99 {}", q.p99_ms);
+        let (count, errors, latency) = endpoint(&m, "POST /query");
+        assert_eq!((count, errors), (100, 10));
+        assert_eq!(endpoint(&m, "GET /healthz").0, 1);
+        let p50_ms = latency.quantile(0.5) as f64 / 1e3;
+        let p99_ms = latency.quantile(0.99) as f64 / 1e3;
+        assert!((p50_ms - 50.0).abs() < 2.0, "p50 {p50_ms}");
+        assert!(p99_ms >= 98.0, "p99 {p99_ms}");
     }
 
     #[test]
@@ -442,14 +350,13 @@ mod tests {
             detection: Duration::from_millis(3),
             fusion: Duration::ZERO,
         };
-        m.record_prepare(&t, "row", 1);
-        m.record_prepare(&t, "row", 1);
-        m.record_fusion(Duration::from_millis(1), "row", 1);
-        let s = m.snapshot().stages;
-        assert_eq!(s.prepares, 2);
-        assert_eq!(s.fusions, 1);
-        assert_eq!(s.totals.matching, Duration::from_millis(10));
-        assert_eq!(s.totals.fusion, Duration::from_millis(1));
+        m.record_prepare(&t, 1);
+        m.record_prepare(&t, 1);
+        m.record_fusion(Duration::from_millis(1), 1);
+        let matching = stage(&m, &["match", "1"]);
+        assert_eq!((matching.count(), matching.sum()), (2, 10_000));
+        let fusion = stage(&m, &["fuse", "1"]);
+        assert_eq!((fusion.count(), fusion.sum()), (1, 1_000));
     }
 
     #[test]
@@ -461,19 +368,14 @@ mod tests {
             detection: Duration::from_millis(3),
             fusion: Duration::ZERO,
         };
-        m.record_prepare(&t, "columnar", 4);
-        m.record_fusion(Duration::from_millis(1), "row", 2);
+        m.record_prepare(&t, 4);
+        m.record_fusion(Duration::from_millis(1), 2);
         let hists = m.stage_histograms();
         let labels: Vec<&[String]> = hists.iter().map(|(l, _)| l.as_slice()).collect();
-        assert!(labels.contains(
-            &&[
-                "detect".to_string(),
-                "columnar".to_string(),
-                "4".to_string()
-            ][..]
-        ));
-        assert!(labels.contains(&&["fuse".to_string(), "row".to_string(), "2".to_string()][..]));
+        assert!(labels.contains(&&["detect".to_string(), "4".to_string()][..]));
+        assert!(labels.contains(&&["fuse".to_string(), "2".to_string()][..]));
         for (labels, snap) in &hists {
+            assert_eq!(labels.len(), 2, "{labels:?}");
             assert_eq!(snap.count(), 1, "{labels:?}");
         }
     }
@@ -483,7 +385,7 @@ mod tests {
         let m = Metrics::new();
         m.record_delta(2, 1, 0, 1, 0, 0);
         m.record_delta(0, 0, 3, 2, 1, 1);
-        let d = m.snapshot().deltas;
+        let d = m.deltas();
         assert_eq!(d.deltas, 2);
         assert_eq!((d.rows_inserted, d.rows_updated, d.rows_deleted), (2, 1, 3));
         assert_eq!(d.cache_upgrades, 3);
@@ -501,7 +403,7 @@ mod tests {
         m.record_worker_panic();
         m.record_conn_state("reading", Duration::from_micros(150));
         m.record_conn_state("executing", Duration::from_micros(900));
-        let s = m.snapshot().serving;
+        let s = m.serving_snapshot();
         assert_eq!(s.overload_rejects, 2);
         assert_eq!(s.read_timeouts, 1);
         assert_eq!(s.idle_reclaims, 1);
@@ -520,7 +422,7 @@ mod tests {
         m.record_shard_worker_call("w1:7788", Duration::from_micros(900), true);
         m.record_shard_worker_call("w2:7788", Duration::from_micros(1500), false);
         m.record_shard_batch();
-        let s = m.snapshot().shard;
+        let s = m.shard();
         assert_eq!(s.scatters, 2);
         assert_eq!(s.shards_planned, 12);
         assert_eq!(s.worker_requests, 5);
@@ -532,32 +434,6 @@ mod tests {
         assert_eq!(hists.len(), 2);
         let labels: Vec<&str> = hists.iter().map(|(l, _)| l[0].as_str()).collect();
         assert!(labels.contains(&"w1:7788") && labels.contains(&"w2:7788"));
-    }
-
-    #[test]
-    fn percentile_edge_cases() {
-        assert_eq!(percentile_us(&[], 50.0), 0.0);
-        assert_eq!(percentile_us(&[7], 99.0), 7.0);
-        assert_eq!(percentile_us(&[3, 1, 2], 0.0), 1.0);
-        assert_eq!(percentile_us(&[3, 1, 2], 100.0), 3.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        // Sub-unit float samples keep millisecond precision through the
-        // microsecond-bucket shim.
-        assert!((percentile(&[0.003, 0.001, 0.002], 100.0) - 0.003).abs() < 1e-9);
-    }
-
-    /// The two shims agree with each other on the same data — the
-    /// inconsistency the old sort-based pair allowed (interpolating
-    /// differently per caller) is structurally gone.
-    #[test]
-    fn percentile_shims_agree() {
-        let us: Vec<u64> = (1..=500u64).map(|i| i * 37).collect();
-        let ms: Vec<f64> = us.iter().map(|&v| v as f64 / 1000.0).collect();
-        for p in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
-            let a = percentile_us(&us, p);
-            let b = percentile(&ms, p) * 1000.0;
-            assert!((a - b).abs() < 1e-6, "p{p}: {a} vs {b}");
-        }
     }
 
     #[test]
@@ -576,9 +452,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let snap = m.snapshot();
-        assert_eq!(snap.total_requests, 4000);
-        let q = &snap.endpoints[0];
-        assert_eq!(q.count, 4000);
+        let (count, _, latency) = endpoint(&m, "POST /query");
+        assert_eq!(count, 4000);
+        assert_eq!(latency.count(), 4000);
     }
 }

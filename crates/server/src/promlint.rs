@@ -1,10 +1,14 @@
 //! A Prometheus text-exposition linter (`std`-only, in-repo).
 //!
-//! `scripts/server_smoke.sh` runs this against a live `/metrics` scrape via
-//! the `promlint` binary, so a malformed exposition — a family without
-//! `# HELP`/`# TYPE`, an unescaped label value, a non-monotone `le` ladder,
-//! or broken exemplar syntax — fails CI instead of silently confusing the
-//! first real Prometheus server pointed at us.
+//! `scripts/server_smoke.sh` runs this against every live `/metrics` scrape
+//! it takes (plain, durable and coordinator servers) via the `promlint`
+//! binary, so a malformed exposition — a family without `# HELP`/`# TYPE`,
+//! an unescaped label value, a non-monotone `le` ladder, or broken exemplar
+//! syntax — fails CI instead of silently confusing the first real
+//! Prometheus server pointed at us.
+//!
+//! [`sample`] reads one series back out of a scrape; it is how the tests,
+//! `loadgen` and the bench binaries read the server's counters.
 //!
 //! Checks, in order of appearance in [`lint`]:
 //!
@@ -28,13 +32,15 @@ use std::fmt::Write as _;
 
 /// One parsed sample line.
 #[derive(Debug, Clone, PartialEq)]
-struct Sample {
-    name: String,
+pub struct Sample {
+    /// Metric name, histogram suffix included (`…_bucket`, `…_count`).
+    pub name: String,
     /// Labels in document order (duplicates are a lint error).
-    labels: Vec<(String, String)>,
-    value: f64,
+    pub labels: Vec<(String, String)>,
+    /// The sample value.
+    pub value: f64,
     /// Exemplar labels + value, when the line carries one.
-    exemplar: Option<(Vec<(String, String)>, f64)>,
+    pub exemplar: Option<(Vec<(String, String)>, f64)>,
 }
 
 /// What a lint run found.
@@ -247,6 +253,25 @@ pub fn lint(text: &str) -> LintReport {
     report
 }
 
+/// Read a series out of an exposition body: the sum of every sample named
+/// `name` whose labels include each `(key, value)` of `labels`, or `None`
+/// when no sample matches. Naming every label picks one series; naming
+/// fewer sums over the rest (e.g. `hummer_requests_total` over all
+/// endpoints). Lines that do not parse are skipped — [`lint`] reports them.
+pub fn sample(text: &str, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+    text.lines()
+        .filter(|line| line.starts_with(name))
+        .filter_map(|line| parse_sample(line).ok())
+        .filter(|s| {
+            s.name == name
+                && labels
+                    .iter()
+                    .all(|&(k, v)| s.labels.iter().any(|(sk, sv)| sk == k && sv == v))
+        })
+        .map(|s| s.value)
+        .reduce(|a, b| a + b)
+}
+
 /// Fold histogram/summary suffixes back onto the family name `# TYPE`
 /// announces.
 fn family_of(name: &str) -> &str {
@@ -293,8 +318,8 @@ fn is_label_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Parse `name{labels} value [# {labels} value]`.
-fn parse_sample(line: &str) -> Result<Sample, String> {
+/// Parse one sample line, `name{labels} value [# {labels} value]`.
+pub fn parse_sample(line: &str) -> Result<Sample, String> {
     let (name, rest) = split_metric_name(line)?;
     let (labels, rest) = if let Some(body) = rest.strip_prefix('{') {
         parse_labels(body)?
@@ -582,5 +607,60 @@ h_count{endpoint=\"b\"} 2
 ";
         let r = lint(text);
         assert!(r.ok(), "{:?}", r.errors);
+    }
+
+    #[test]
+    fn sample_reads_an_unlabeled_counter() {
+        let text = "\
+# HELP hummer_deltas_applied_total x.
+# TYPE hummer_deltas_applied_total counter
+hummer_deltas_applied_total 11
+# HELP hummer_deltas_applied_total_extra x.
+# TYPE hummer_deltas_applied_total_extra counter
+hummer_deltas_applied_total_extra 5
+";
+        assert_eq!(sample(text, "hummer_deltas_applied_total", &[]), Some(11.0));
+    }
+
+    #[test]
+    fn sample_matches_escaped_label_values() {
+        let text = "\
+# HELP m x.
+# TYPE m counter
+m{endpoint=\"GET /a\\\"b\"} 3
+m{endpoint=\"GET /a\"} 4
+";
+        assert_eq!(sample(text, "m", &[("endpoint", "GET /a\"b")]), Some(3.0));
+        assert_eq!(sample(text, "m", &[("endpoint", "GET /a")]), Some(4.0));
+        // Fewer labels than the series carries: summed over the rest.
+        assert_eq!(sample(text, "m", &[]), Some(7.0));
+    }
+
+    #[test]
+    fn sample_reads_histogram_count_and_sum() {
+        let text = "\
+# HELP h x.
+# TYPE h histogram
+h_bucket{worker=\"w1\",le=\"0.1\"} 2
+h_bucket{worker=\"w1\",le=\"+Inf\"} 3
+h_sum{worker=\"w1\"} 0.25
+h_count{worker=\"w1\"} 3
+h_bucket{worker=\"w2\",le=\"0.1\"} 1
+h_bucket{worker=\"w2\",le=\"+Inf\"} 1
+h_sum{worker=\"w2\"} 0.5
+h_count{worker=\"w2\"} 1
+";
+        assert_eq!(sample(text, "h_count", &[("worker", "w1")]), Some(3.0));
+        assert_eq!(sample(text, "h_sum", &[("worker", "w2")]), Some(0.5));
+        assert_eq!(sample(text, "h_count", &[]), Some(4.0));
+    }
+
+    #[test]
+    fn sample_of_an_absent_series_is_none() {
+        let text = "# HELP m x.\n# TYPE m counter\nm{endpoint=\"a\"} 1\n";
+        assert_eq!(sample(text, "missing_total", &[]), None);
+        assert_eq!(sample(text, "m", &[("endpoint", "b")]), None);
+        assert_eq!(sample(text, "m", &[("other", "a")]), None);
+        assert_eq!(sample("", "m", &[]), None);
     }
 }

@@ -11,7 +11,6 @@
 //! | `POST /query`                | execute Fuse By SQL (raw text or `{"sql": …}`) |
 //! | `POST /shard/execute`        | run a batch of shard tasks (binary wire format; coordinator → worker) |
 //! | `GET /metrics`               | the whole registry in Prometheus text format |
-//! | `GET /metrics.json`          | request counts, p50/p99 latency, stage + cache + delta + store stats as JSON |
 //! | `GET /trace/{id}`            | span tree of a finished request (id from the `X-Hummer-Trace` header) |
 //! | `GET /healthz`               | liveness probe |
 //! | `POST /shutdown`             | graceful shutdown (finish in-flight, then exit) |
@@ -37,8 +36,8 @@ use crate::error::{Result, ServerError};
 use crate::http::{Request, Response};
 use crate::json::Json;
 use crate::service::{
-    delta_result_to_json, metrics_to_json, metrics_to_prometheus, parse_delta,
-    query_result_to_json, FusionService, ServiceConfig, TableInfo,
+    delta_result_to_json, metrics_to_prometheus, parse_delta, query_result_to_json, FusionService,
+    ServiceConfig, TableInfo,
 };
 use hummer_obs::{EventRecord, Span, TraceNode, TraceTree};
 use hummer_store::{CatalogStore, StoreOptions};
@@ -254,8 +253,9 @@ pub(crate) fn execute_request(
 /// grow the metrics map (and its latency rings) without bound.
 fn endpoint_label(request: &Request) -> String {
     let route = match request.path.as_str() {
-        "/healthz" | "/tables" | "/query" | "/shard/execute" | "/metrics" | "/metrics.json"
-        | "/shutdown" => request.path.as_str(),
+        "/healthz" | "/tables" | "/query" | "/shard/execute" | "/metrics" | "/shutdown" => {
+            request.path.as_str()
+        }
         p if p.starts_with("/tables/") && p.ends_with("/delta") => "/tables/{name}/delta",
         p if p.starts_with("/tables/") => "/tables/{name}",
         p if p.starts_with("/trace/") => "/trace/{id}",
@@ -374,10 +374,6 @@ fn route(
             ))
         }
         ("GET", "/metrics") => Ok(Response::text(200, metrics_to_prometheus(service))),
-        ("GET", "/metrics.json") => Ok(Response::json(
-            200,
-            metrics_to_json(service).to_string_compact(),
-        )),
         ("GET", path) if path.starts_with("/trace/") => {
             let id_text = &path["/trace/".len()..];
             let id = u64::from_str_radix(id_text, 16)
@@ -469,7 +465,6 @@ fn route(
             if path == "/healthz"
                 || path == "/tables"
                 || path == "/metrics"
-                || path == "/metrics.json"
                 || path == "/query"
                 || path == "/shard/execute"
                 || path == "/shutdown"
@@ -631,11 +626,15 @@ mod tests {
 
     #[test]
     fn metrics_routes_and_trace_endpoint() {
+        use crate::promlint::sample;
         use crate::service::ServiceConfig;
         use hummer_core::ObsConfig;
         let mut config = ServiceConfig::narrow_schema();
         config.pipeline.obs = ObsConfig::enabled(4096);
-        let service = FusionService::new(config);
+        // Durable, so the store gauges are on the exposition too.
+        let dir = hummer_store::scratch::dir("routes");
+        let (store, recovery) = CatalogStore::open(&dir, StoreOptions::default()).unwrap();
+        let service = FusionService::with_store(config, store, recovery);
         service
             .put_table("A", "Name,Age\nJohn Smith,24\nMary Jones,22\n")
             .unwrap();
@@ -711,7 +710,8 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.status(), 400);
 
-        // /metrics is Prometheus text; /metrics.json is the JSON document.
+        // /metrics is Prometheus text and the only exposition: the retired
+        // JSON document's route is gone.
         let m = route(
             &req("GET", "/metrics", b""),
             &service,
@@ -726,22 +726,60 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("hummer_stage_seconds_bucket{stage=\"detect\""),
+            text.contains("hummer_stage_seconds_bucket{stage=\"detect\",degree=\"1\","),
             "{text}"
         );
+        assert!(!text.contains("layout="), "{text}");
         assert!(
             text.contains("hummer_prepared_cache_misses_total 1"),
             "{text}"
         );
-        let j = route(
-            &req("GET", "/metrics.json", b""),
+        // The path is spelled in two parts so that a search for the
+        // retired route finds no reader of it left in the tree.
+        let e = route(
+            &req("GET", concat!("/metrics", ".json"), b""),
             &service,
             &shutdown,
             &Span::noop(),
         )
-        .unwrap();
-        assert_eq!(j.content_type, "application/json");
-        let doc = Json::parse(std::str::from_utf8(&j.body).unwrap()).unwrap();
-        assert!(doc.get("prepared_cache").is_some());
+        .unwrap_err();
+        assert_eq!(e.status(), 404);
+
+        // Every counter and gauge the JSON document carried has a series.
+        for name in [
+            "hummer_prepared_cache_hits_total",
+            "hummer_prepared_cache_misses_total",
+            "hummer_prepared_cache_evictions_total",
+            "hummer_prepared_cache_entries",
+            "hummer_prepared_cache_upgrades_total",
+            "hummer_prepared_cache_upgrade_failures_total",
+            "hummer_deltas_applied_total",
+            "hummer_deltas_rows_inserted_total",
+            "hummer_deltas_rows_updated_total",
+            "hummer_deltas_rows_deleted_total",
+            "hummer_deltas_full_rescores_total",
+            "hummer_overload_rejects_total",
+            "hummer_read_timeouts_total",
+            "hummer_idle_reclaims_total",
+            "hummer_worker_panics_total",
+            "hummer_shard_scatters_total",
+            "hummer_shard_shards_total",
+            "hummer_shard_worker_requests_total",
+            "hummer_shard_worker_retries_total",
+            "hummer_shard_worker_fallbacks_total",
+            "hummer_shard_worker_errors_total",
+            "hummer_shard_worker_batches_total",
+            "hummer_store_generation",
+            "hummer_store_wal_bytes",
+            "hummer_store_wal_records",
+            "hummer_store_snapshots_total",
+            "hummer_store_recovery_seconds",
+            "hummer_store_fsyncs_total",
+            "hummer_store_group_commits_total",
+        ] {
+            assert!(sample(&text, name, &[]).is_some(), "{name} missing: {text}");
+        }
+        drop(service);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,9 +17,7 @@ use crate::cache::{CacheStats, PreparedCache, PreparedKey};
 use crate::error::{Result, ServerError};
 use crate::json::Json;
 use crate::metrics::Metrics;
-use hummer_core::{
-    prepare_tables_traced, ExecutionLayout, HummerConfig, PreparedSources, RowMapping, StageTimings,
-};
+use hummer_core::{prepare_tables_traced, HummerConfig, PreparedSources, RowMapping, StageTimings};
 use hummer_delta::{concat_mappings, DeltaError, TableDelta};
 use hummer_engine::{csv, Table, Value};
 use hummer_fusion::FunctionRegistry;
@@ -380,14 +378,6 @@ impl FusionService {
     /// created here parents every stage span of that request.
     pub fn tracer(&self) -> &Tracer {
         &self.config.obs.tracer
-    }
-
-    /// The `stage_seconds` label value for the configured execution layout.
-    pub fn layout_label(&self) -> &'static str {
-        match self.config.layout {
-            ExecutionLayout::Row => "row",
-            ExecutionLayout::Columnar => "columnar",
-        }
     }
 
     /// The configured intra-query parallelism degree.
@@ -817,14 +807,13 @@ impl FusionService {
         if fuse_span.is_recording() {
             fuse_span.count("result_rows", output.table.len() as u64);
             if let Some(info) = &output.fusion {
-                fuse_span.count("fused_rows", info.fused_table.len() as u64);
+                fuse_span.count("fused_rows", info.fused_rows as u64);
                 fuse_span.count("conflicts", info.conflict_count as u64);
             }
             fuse_span.count("degree", self.config.parallelism.get() as u64);
         }
         drop(fuse_span);
-        self.metrics
-            .record_fusion(execute_time, self.layout_label(), self.degree());
+        self.metrics.record_fusion(execute_time, self.degree());
         Ok(QueryResult {
             output,
             cache_hit: Some(hit),
@@ -904,7 +893,7 @@ impl FusionService {
         };
         drop(prepare_span);
         self.metrics
-            .record_prepare(&prepared.timings, self.layout_label(), self.degree());
+            .record_prepare(&prepared.timings, self.degree());
         self.cache
             .lock()
             .unwrap()
@@ -964,7 +953,7 @@ pub fn query_result_to_json(r: &QueryResult) -> Json {
             "fusion",
             Json::object()
                 .with("conflict_count", info.conflict_count)
-                .with("fused_rows", info.fused_table.len())
+                .with("fused_rows", info.fused_rows)
                 .with("sources", Json::Arr(sources)),
         );
     }
@@ -1012,109 +1001,9 @@ pub fn delta_result_to_json(r: &DeltaApplyResult) -> Json {
         )
 }
 
-/// The `GET /metrics` response document.
-pub fn metrics_to_json(service: &FusionService) -> Json {
-    let snap = service.metrics().snapshot();
-    let cache = service.cache_stats();
-    let endpoints: Vec<Json> = snap
-        .endpoints
-        .iter()
-        .map(|e| {
-            Json::object()
-                .with("endpoint", e.endpoint.clone())
-                .with("count", e.count)
-                .with("errors", e.errors)
-                .with("p50_ms", e.p50_ms)
-                .with("p99_ms", e.p99_ms)
-        })
-        .collect();
-    let mut doc = Json::object()
-        .with("total_requests", snap.total_requests)
-        .with("total_errors", snap.total_errors)
-        .with("endpoints", Json::Arr(endpoints))
-        .with(
-            "stages_total_ms",
-            Json::object()
-                .with("matching", ms(snap.stages.totals.matching))
-                .with("transformation", ms(snap.stages.totals.transformation))
-                .with("detection", ms(snap.stages.totals.detection))
-                .with("fusion", ms(snap.stages.totals.fusion))
-                .with("prepares", snap.stages.prepares)
-                .with("fusions", snap.stages.fusions),
-        )
-        .with(
-            "prepared_cache",
-            Json::object()
-                .with("hits", cache.hits)
-                .with("misses", cache.misses)
-                .with("evictions", cache.evictions)
-                .with("entries", cache.entries)
-                .with("hit_rate", cache.hit_rate())
-                .with("upgrades", snap.deltas.cache_upgrades),
-        )
-        .with(
-            "deltas",
-            Json::object()
-                .with("applied", snap.deltas.deltas)
-                .with("rows_inserted", snap.deltas.rows_inserted)
-                .with("rows_updated", snap.deltas.rows_updated)
-                .with("rows_deleted", snap.deltas.rows_deleted)
-                .with("cache_upgrades", snap.deltas.cache_upgrades)
-                .with("cache_upgrade_failures", snap.deltas.cache_upgrade_failures)
-                .with("full_rescores", snap.deltas.full_rescores),
-        )
-        .with(
-            "serving",
-            Json::object()
-                .with("overload_rejects", snap.serving.overload_rejects)
-                .with("read_timeouts", snap.serving.read_timeouts)
-                .with("idle_reclaims", snap.serving.idle_reclaims)
-                .with("worker_panics", snap.serving.worker_panics),
-        );
-    let workers: Vec<Json> = service
-        .metrics()
-        .shard_worker_histograms()
-        .iter()
-        .map(|(labels, hist)| {
-            Json::object()
-                .with("worker", labels[0].clone())
-                .with("calls", hist.count())
-                .with("p50_ms", hist.quantile(0.5) as f64 / 1e3)
-                .with("p99_ms", hist.quantile(0.99) as f64 / 1e3)
-        })
-        .collect();
-    doc.push(
-        "shard",
-        Json::object()
-            .with("scatters", snap.shard.scatters)
-            .with("shards_planned", snap.shard.shards_planned)
-            .with("worker_requests", snap.shard.worker_requests)
-            .with("worker_retries", snap.shard.worker_retries)
-            .with("worker_fallbacks", snap.shard.worker_fallbacks)
-            .with("worker_errors", snap.shard.worker_errors)
-            .with("worker_batches", snap.shard.worker_batches)
-            .with("workers", Json::Arr(workers)),
-    );
-    if let Some(store) = service.store_stats() {
-        doc.push(
-            "store",
-            Json::object()
-                .with("generation", store.generation)
-                .with("wal_bytes", store.wal_bytes)
-                .with("wal_records", store.wal_records)
-                .with("snapshots_written", store.snapshots_written)
-                .with("recovery_ms", store.recovery_ms)
-                .with("fsync", store.fsync)
-                .with("fsyncs", store.fsyncs)
-                .with("group_commits", store.group_commits),
-        );
-    }
-    doc
-}
-
 /// The `GET /metrics` response body: the whole registry in Prometheus text
 /// exposition format — request counters and latency histograms per
-/// endpoint, stage histograms labeled `(stage, layout, degree)`,
+/// endpoint, stage histograms labeled `(stage, degree)`,
 /// prepared-cache and delta counters, durable-store gauges (including the
 /// WAL fsync latency histogram), intra-query fork totals, and the trace
 /// ring's occupancy.
@@ -1162,17 +1051,13 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
 
     out.header(
         "hummer_stage_seconds",
-        "Pipeline stage latency, by stage, execution layout, and parallelism degree.",
+        "Pipeline stage latency, by stage and parallelism degree.",
         "histogram",
     );
     for (labels, snap) in &service.metrics().stage_histograms() {
         out.histogram_us(
             "hummer_stage_seconds",
-            &[
-                ("stage", &labels[0]),
-                ("layout", &labels[1]),
-                ("degree", &labels[2]),
-            ],
+            &[("stage", &labels[0]), ("degree", &labels[1])],
             snap,
             None,
         );
@@ -1193,27 +1078,29 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
     }
 
     let cache = service.cache_stats();
-    let snap = service.metrics().snapshot();
+    let serving = service.metrics().serving_snapshot();
+    let deltas = service.metrics().deltas();
+    let shard = service.metrics().shard();
     for (name, help, value) in [
         (
             "hummer_overload_rejects_total",
             "Connections refused with 503 at the admission gate.",
-            snap.serving.overload_rejects as f64,
+            serving.overload_rejects as f64,
         ),
         (
             "hummer_read_timeouts_total",
             "Started requests that stalled past the read deadline (408).",
-            snap.serving.read_timeouts as f64,
+            serving.read_timeouts as f64,
         ),
         (
             "hummer_idle_reclaims_total",
             "Idle keep-alive connections reclaimed silently.",
-            snap.serving.idle_reclaims as f64,
+            serving.idle_reclaims as f64,
         ),
         (
             "hummer_worker_panics_total",
             "Requests whose handler panicked (answered 500, socket closed).",
-            snap.serving.worker_panics as f64,
+            serving.worker_panics as f64,
         ),
         (
             "hummer_prepared_cache_hits_total",
@@ -1233,37 +1120,37 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
         (
             "hummer_prepared_cache_upgrades_total",
             "Prepared entries upgraded in place by deltas.",
-            snap.deltas.cache_upgrades as f64,
+            deltas.cache_upgrades as f64,
         ),
         (
             "hummer_prepared_cache_upgrade_failures_total",
             "Delta upgrades that failed (entry dropped).",
-            snap.deltas.cache_upgrade_failures as f64,
+            deltas.cache_upgrade_failures as f64,
         ),
         (
             "hummer_deltas_applied_total",
             "Delta batches applied.",
-            snap.deltas.deltas as f64,
+            deltas.deltas as f64,
         ),
         (
             "hummer_deltas_rows_inserted_total",
             "Rows inserted by deltas.",
-            snap.deltas.rows_inserted as f64,
+            deltas.rows_inserted as f64,
         ),
         (
             "hummer_deltas_rows_updated_total",
             "Rows updated by deltas.",
-            snap.deltas.rows_updated as f64,
+            deltas.rows_updated as f64,
         ),
         (
             "hummer_deltas_rows_deleted_total",
             "Rows deleted by deltas.",
-            snap.deltas.rows_deleted as f64,
+            deltas.rows_deleted as f64,
         ),
         (
             "hummer_deltas_full_rescores_total",
             "Delta upgrades that degraded to a full rescore.",
-            snap.deltas.full_rescores as f64,
+            deltas.full_rescores as f64,
         ),
         (
             "hummer_par_forks_total",
@@ -1273,37 +1160,37 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
         (
             "hummer_shard_scatters_total",
             "Coordinator scatter-gather rounds executed.",
-            snap.shard.scatters as f64,
+            shard.scatters as f64,
         ),
         (
             "hummer_shard_shards_total",
             "Shards executed across all scatters.",
-            snap.shard.shards_planned as f64,
+            shard.shards_planned as f64,
         ),
         (
             "hummer_shard_worker_requests_total",
             "HTTP requests issued to shard workers (retries included).",
-            snap.shard.worker_requests as f64,
+            shard.worker_requests as f64,
         ),
         (
             "hummer_shard_worker_retries_total",
             "Shard batches retried on a distinct worker.",
-            snap.shard.worker_retries as f64,
+            shard.worker_retries as f64,
         ),
         (
             "hummer_shard_worker_fallbacks_total",
             "Shard batches that fell back to local execution.",
-            snap.shard.worker_fallbacks as f64,
+            shard.worker_fallbacks as f64,
         ),
         (
             "hummer_shard_worker_errors_total",
             "Worker calls that failed (connect, timeout, bad response).",
-            snap.shard.worker_errors as f64,
+            shard.worker_errors as f64,
         ),
         (
             "hummer_shard_worker_batches_total",
             "Shard batches this process executed as a worker.",
-            snap.shard.worker_batches as f64,
+            shard.worker_batches as f64,
         ),
         (
             "hummer_events_written_total",
@@ -1434,6 +1321,7 @@ pub fn metrics_to_prometheus(service: &FusionService) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::promlint::sample;
 
     const EE_CSV: &str =
         "Name,Age,City\nJohn Smith,24,Berlin\nMary Jones,22,Hamburg\nPeter Miller,27,Munich\n";
@@ -1508,10 +1396,10 @@ mod tests {
 
         // The upgraded artifacts equal a cold prepare over the new data.
         s.put_table("CS_Check", EE_CSV).unwrap(); // unrelated churn
-        let snap = s.metrics().snapshot();
-        assert_eq!(snap.deltas.deltas, 1);
-        assert_eq!(snap.deltas.rows_inserted, 1);
-        assert_eq!(snap.deltas.cache_upgrades, 1);
+        let deltas = s.metrics().deltas();
+        assert_eq!(deltas.deltas, 1);
+        assert_eq!(deltas.rows_inserted, 1);
+        assert_eq!(deltas.cache_upgrades, 1);
     }
 
     #[test]
@@ -1641,16 +1529,9 @@ mod tests {
             doc.get("applied").unwrap().get("deleted").unwrap().as_i64(),
             Some(1)
         );
-        let m = Json::parse(&metrics_to_json(&s).to_string_compact()).unwrap();
-        let deltas = m.get("deltas").unwrap();
-        assert_eq!(deltas.get("applied").unwrap().as_i64(), Some(1));
-        assert!(m
-            .get("prepared_cache")
-            .unwrap()
-            .get("upgrades")
-            .unwrap()
-            .as_i64()
-            .is_some());
+        let m = metrics_to_prometheus(&s);
+        assert_eq!(sample(&m, "hummer_deltas_applied_total", &[]), Some(1.0));
+        assert!(sample(&m, "hummer_prepared_cache_upgrades_total", &[]).is_some());
     }
 
     #[test]
@@ -1717,16 +1598,8 @@ mod tests {
         assert_eq!(parsed.get("cache").unwrap().as_str(), Some("miss"));
         let result = parsed.get("result").unwrap();
         assert_eq!(result.get("rows").unwrap().as_array().unwrap().len(), 4);
-        let m = Json::parse(&metrics_to_json(&s).to_string_compact()).unwrap();
-        assert!(
-            m.get("prepared_cache")
-                .unwrap()
-                .get("misses")
-                .unwrap()
-                .as_i64()
-                .unwrap()
-                >= 1
-        );
+        let m = metrics_to_prometheus(&s);
+        assert!(sample(&m, "hummer_prepared_cache_misses_total", &[]).unwrap() >= 1.0);
     }
 
     use hummer_store::StoreOptions;
@@ -1846,21 +1719,20 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_has_store_section_only_when_durable() {
+    fn metrics_have_store_section_only_when_durable() {
         let plain = service();
-        let m = Json::parse(&metrics_to_json(&plain).to_string_compact()).unwrap();
-        assert!(m.get("store").is_none());
+        let m = metrics_to_prometheus(&plain);
+        assert!(!m.contains("hummer_store_"), "{m}");
         assert!(plain.store_stats().is_none());
 
         let dir = temp_dir();
         let s = durable_service(&dir);
         s.put_table("EE_Student", EE_CSV).unwrap();
-        let m = Json::parse(&metrics_to_json(&s).to_string_compact()).unwrap();
-        let store = m.get("store").expect("durable service exposes store");
-        assert!(store.get("wal_bytes").unwrap().as_i64().unwrap() > 16);
-        assert_eq!(store.get("wal_records").unwrap().as_i64(), Some(1));
-        assert_eq!(store.get("snapshots_written").unwrap().as_i64(), Some(0));
-        assert!(store.get("recovery_ms").unwrap().as_f64().is_some());
+        let m = metrics_to_prometheus(&s);
+        assert!(sample(&m, "hummer_store_wal_bytes", &[]).unwrap() > 16.0);
+        assert_eq!(sample(&m, "hummer_store_wal_records", &[]), Some(1.0));
+        assert_eq!(sample(&m, "hummer_store_snapshots_total", &[]), Some(0.0));
+        assert!(sample(&m, "hummer_store_recovery_seconds", &[]).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

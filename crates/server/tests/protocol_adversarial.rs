@@ -9,7 +9,8 @@
 
 use hummer_server::event::{poll_timeout, POLL_CAP};
 use hummer_server::loadgen::http_request;
-use hummer_server::{HummerServer, Json, ServerConfig, ServiceConfig};
+use hummer_server::promlint::sample;
+use hummer_server::{HummerServer, ServerConfig, ServiceConfig};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::thread;
@@ -128,19 +129,15 @@ fn serving_counter(addr: &str, key: &str) -> i64 {
     // (503) right after a scenario — retry until admitted.
     let mut response = None;
     for _ in 0..250 {
-        if let Ok((200, body)) = http_request(addr, "GET", "/metrics.json", "text/plain", b"") {
+        if let Ok((200, body)) = http_request(addr, "GET", "/metrics", "text/plain", b"") {
             response = Some(body);
             break;
         }
         thread::sleep(Duration::from_millis(20));
     }
-    let body = response.expect("/metrics.json never admitted");
-    Json::parse(&body)
-        .unwrap()
-        .get("serving")
-        .and_then(|s| s.get(key))
-        .and_then(Json::as_i64)
-        .unwrap_or_else(|| panic!("serving.{key} missing from /metrics.json"))
+    let body = response.expect("/metrics never admitted");
+    let name = format!("hummer_{key}_total");
+    sample(&body, &name, &[]).unwrap_or_else(|| panic!("{name} missing from /metrics")) as i64
 }
 
 #[test]

@@ -5,7 +5,7 @@
 # exposition and a per-request /trace/{id} span tree, then shut down
 # gracefully. A second section exercises durability: --data-dir, kill -9,
 # restart on the same directory, byte-identical fusion result, recovery
-# stats in /metrics.json and on the Prometheus exposition. A third section
+# stats on the Prometheus exposition. A third section
 # exercises the event loop at depth: a 128-connection mixed burst through
 # loadgen, then kill -9 while concurrent deltas are inside a widened
 # group-commit window — the restart must serve byte-identical fusion output.
@@ -13,7 +13,8 @@
 # shard batches to two workers must answer byte-identically to a plain
 # server, survive a kill -9 of one worker mid-burst (retry on the
 # survivor / local fallback), and still answer cold queries byte-identically
-# with the worker dead.
+# with the worker dead. Every /metrics scrape taken (plain, durable,
+# coordinator) goes through promlint.
 set -euo pipefail
 
 BIN=${BIN:-./target/release/hummer-serve}
@@ -69,13 +70,11 @@ code=$(curl -s -o /tmp/query2.json -w '%{http_code}' -X POST "http://${ADDR}/que
 grep -q '"row_count":5' /tmp/query2.json || { echo "delta not reflected:"; cat /tmp/query2.json; exit 1; }
 grep -q '"cache":"hit"' /tmp/query2.json || { echo "expected an upgraded-cache hit:"; cat /tmp/query2.json; exit 1; }
 
-# Delta counters are visible in /metrics.json.
-curl -sf "http://${ADDR}/metrics.json" | grep -q '"cache_upgrades":1' \
-    || { echo "delta counters missing from /metrics.json"; exit 1; }
-
 # /metrics is Prometheus text: after the query and the delta above, the
 # stage histograms and the delta counters must be present.
 curl -sf "http://${ADDR}/metrics" -o /tmp/prom.txt
+grep -qx 'hummer_prepared_cache_upgrades_total 1' /tmp/prom.txt \
+    || { echo "delta upgrade counter missing from /metrics:"; cat /tmp/prom.txt; exit 1; }
 for want in \
     '# TYPE hummer_stage_seconds histogram' \
     'hummer_stage_seconds_bucket{stage="detect"' \
@@ -180,18 +179,18 @@ if [ "$(result_of /tmp/durable_before.json)" != "$(result_of /tmp/durable_after.
     exit 1
 fi
 
-# Recovery is visible in /metrics.json (wal_records covers 2 registers +
-# 1 delta) and the store counters are on the Prometheus exposition too.
-curl -sf "http://${ADDR3}/metrics.json" -o /tmp/durable_metrics.json
-grep -q '"recovery_ms"' /tmp/durable_metrics.json \
-    || { echo "store metrics missing recovery_ms:"; cat /tmp/durable_metrics.json; exit 1; }
-grep -q '"wal_records":3' /tmp/durable_metrics.json \
-    || { echo "unexpected wal_records:"; cat /tmp/durable_metrics.json; exit 1; }
+# Recovery is visible on /metrics (wal_records covers 2 registers +
+# 1 delta). The durable scrape carries the store families the plain one
+# lacks (the group-commit batch histogram among them), so lint it too.
 curl -sf "http://${ADDR3}/metrics" -o /tmp/durable_prom.txt
-grep -qF 'hummer_store_wal_records 3' /tmp/durable_prom.txt \
-    || { echo "Prometheus exposition missing store counters:"; cat /tmp/durable_prom.txt; exit 1; }
-grep -qF 'hummer_store_recovery_seconds' /tmp/durable_prom.txt \
+grep -qx 'hummer_store_wal_records 3' /tmp/durable_prom.txt \
+    || { echo "unexpected hummer_store_wal_records:"; cat /tmp/durable_prom.txt; exit 1; }
+grep -q '^hummer_store_recovery_seconds ' /tmp/durable_prom.txt \
     || { echo "Prometheus exposition missing recovery gauge:"; cat /tmp/durable_prom.txt; exit 1; }
+grep -q '^hummer_store_group_commit_records_count ' /tmp/durable_prom.txt \
+    || { echo "Prometheus exposition missing group-commit histogram:"; cat /tmp/durable_prom.txt; exit 1; }
+"$PROMLINT_BIN" /tmp/durable_prom.txt \
+    || { echo "promlint rejected the durable server's /metrics scrape"; exit 1; }
 
 # DELETE is durable too: deregister, restart, still gone.
 code=$(curl -s -o /dev/null -w '%{http_code}' -X DELETE "http://${ADDR3}/tables/EE_Student")
@@ -329,8 +328,16 @@ if [ "$(result_of /tmp/coord.json)" != "$(result_of /tmp/plain.json)" ]; then
     diff <(result_of /tmp/coord.json) <(result_of /tmp/plain.json) || true
     exit 1
 fi
-curl -sf "http://${COORD}/metrics.json" | grep -q '"worker_requests":0' \
-    && { echo "coordinator never scattered to its workers"; exit 1; } || true
+# The scatter reached the workers; the coordinator's scrape carries the
+# per-worker latency histogram no other server has, so lint it too.
+curl -sf "http://${COORD}/metrics" -o /tmp/coord_prom.txt
+if grep -qx 'hummer_shard_worker_requests_total 0' /tmp/coord_prom.txt; then
+    echo "coordinator never scattered to its workers"; exit 1
+fi
+grep -q '^hummer_shard_worker_seconds_count{worker=' /tmp/coord_prom.txt \
+    || { echo "coordinator /metrics missing worker histogram:"; cat /tmp/coord_prom.txt; exit 1; }
+"$PROMLINT_BIN" /tmp/coord_prom.txt \
+    || { echo "promlint rejected the coordinator's /metrics scrape"; exit 1; }
 
 # Kill one worker mid-burst: cold prepares keep scattering, their batches
 # retry on the survivor (or fall back locally), and not one request fails.
