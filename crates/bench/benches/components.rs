@@ -16,7 +16,7 @@ use hummer_dupdetect::{
 };
 use hummer_engine::expr::Expr;
 use hummer_engine::ops::{hash_join, nested_loop_join, outer_union, JoinKind};
-use hummer_engine::Table;
+use hummer_engine::{Table, OBJECT_ID_COLUMN};
 use hummer_fusion::{fuse, FunctionRegistry, FusionSpec, ResolutionSpec};
 use hummer_matching::{match_tables, sniff_duplicates};
 use hummer_query::{parse, run_query, TableSet};
@@ -269,15 +269,15 @@ fn bench_fusion(c: &mut Criterion) {
     // Give it an object key: entity ids as a column.
     let ids = w.gold_union_entity_ids();
     u.add_column(
-        hummer_engine::Column::new("objectID", hummer_engine::ColumnType::Int),
+        hummer_engine::Column::new(OBJECT_ID_COLUMN, hummer_engine::ColumnType::Int),
         |i, _| hummer_engine::Value::Int(ids[i] as i64),
     )
     .unwrap();
     let registry = FunctionRegistry::standard();
     for func in ["coalesce", "vote", "concat"] {
         g.bench_with_input(BenchmarkId::new("fuse_1400rows", func), &func, |bch, f| {
-            let spec =
-                FusionSpec::by_key(vec!["objectID"]).resolve("Name", ResolutionSpec::named(*f));
+            let spec = FusionSpec::by_key(vec![OBJECT_ID_COLUMN])
+                .resolve("Name", ResolutionSpec::named(*f));
             bch.iter(|| fuse(&u, &spec, &registry).unwrap())
         });
     }

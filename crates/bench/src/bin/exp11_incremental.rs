@@ -160,9 +160,7 @@ fn run_cell(
     let scratch_fp = fingerprint(&scratch);
     let scratch_fused = fuse(
         &scratch.annotated,
-        &hummer_fusion::FusionSpec::by_key(vec!["objectID"])
-            .drop_column("objectID")
-            .drop_column("sourceID"),
+        &hummer_fusion::FusionSpec::by_object_id(&[], Parallelism::sequential()),
         &registry,
     )
     .expect("scratch fuse");

@@ -31,9 +31,9 @@ use hummer_datagen::GeneratedWorld;
 use hummer_dupdetect::{
     annotate_object_ids, candidate_pairs, score_candidate_pairs, select_attributes,
     CandidateStrategy, ColumnarMeasure, DetectorConfig, HeuristicConfig, PairScorer,
-    TupleSimilarity, OBJECT_ID_COLUMN,
+    TupleSimilarity,
 };
-use hummer_engine::{Column, ColumnType, Table, Value};
+use hummer_engine::{Column, ColumnType, Table, Value, OBJECT_ID_COLUMN};
 use hummer_fusion::FunctionRegistry;
 use hummer_server::Json;
 use std::process::ExitCode;

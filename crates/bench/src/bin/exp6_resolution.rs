@@ -2,7 +2,7 @@
 //! correctness against an oracle on controlled clusters, plus throughput.
 
 use hummer_bench::{f3, render_table};
-use hummer_engine::{Row, Schema, Table, Value};
+use hummer_engine::{Row, Schema, Table, Value, SOURCE_ID_COLUMN};
 use hummer_fusion::{fuse, FunctionRegistry, FusionSpec, ResolutionSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -12,7 +12,7 @@ use std::time::Instant;
 /// `v` column carries controlled conflicts; `recency` is a companion date.
 fn clustered_table(clusters: usize, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
-    let schema = Schema::of_names(&["key", "v", "recency", "sourceID"]).unwrap();
+    let schema = Schema::of_names(&["key", "v", "recency", SOURCE_ID_COLUMN]).unwrap();
     let mut t = Table::empty("C", schema);
     for k in 0..clusters {
         let size = rng.gen_range(2..=6);

@@ -10,6 +10,7 @@
 //! * [`repository`] — the metadata repository of registered sources,
 //! * [`pipeline`] — [`Hummer`]: the automatic pipeline and the Fuse By SQL
 //!   interface,
+//! * [`stages`] — each pipeline stage, once, timed by its own span,
 //! * [`wizard`] — the six-step interactive flow of the demo (Fig. 2) as a
 //!   phase-checked API.
 //!
@@ -55,6 +56,7 @@
 pub mod error;
 pub mod pipeline;
 pub mod repository;
+pub mod stages;
 pub mod wizard;
 
 pub use error::{HummerError, Result};

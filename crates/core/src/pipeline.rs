@@ -15,29 +15,26 @@
 
 use crate::error::Result;
 use crate::repository::MetadataRepository;
+use crate::stages;
 use hummer_dupdetect::{
-    annotate_object_ids, detect_delta, detect_duplicates_par, DeltaDetectionStats, DetectionResult,
-    DetectorConfig, RowMapping, OBJECT_ID_COLUMN,
+    detect_delta, DeltaDetectionStats, DetectionResult, DetectorConfig, RowMapping,
 };
 use hummer_engine::{ExecutionLayout, Table};
-use hummer_fusion::{
-    fuse, FunctionRegistry, FusionSpec, Lineage, Parallelism, ResolutionSpec, SampleConflict,
-};
-use hummer_matching::{
-    apply_renames, integrate_with_layout, match_star, match_star_par, MatchResult, MatcherConfig,
-};
+use hummer_fusion::{FunctionRegistry, Lineage, Parallelism, ResolutionSpec, SampleConflict};
+use hummer_matching::{apply_renames, MatchResult, MatcherConfig};
 use hummer_obs::{ObsConfig, Span};
 use hummer_query::{parse, QueryOutput, TableSet};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Wall-clock time spent in each pipeline stage.
+/// Wall-clock time spent in each pipeline stage: the durations of the
+/// stage spans ([`crate::stages`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     /// Schema matching (DUMAS over all table pairs).
     pub matching: Duration,
     /// Renaming + `sourceID` + full outer union.
     pub transformation: Duration,
-    /// Duplicate detection.
+    /// Duplicate detection plus `objectID` clustering.
     pub detection: Duration,
     /// Conflict resolution / fusion.
     pub fusion: Duration,
@@ -113,91 +110,22 @@ pub fn prepare_tables_traced(
     config: &HummerConfig,
     parent: &Span,
 ) -> Result<PreparedSources> {
-    let mut timings = StageTimings::default();
-    let (match_results, integrated) = match_and_transform(tables, config, parent, &mut timings)?;
-
-    // 3. Duplicate detection → objectID.
-    let t0 = Instant::now();
-    let mut span = parent.child("detect");
-    let detection =
-        detect_duplicates_par(&integrated, &config.detector_config(), config.parallelism)?;
-    count_detection(&mut span, &detection.stats, config);
-    drop(span);
-    let mut span = parent.child("cluster");
-    let annotated = annotate_object_ids(&integrated, &detection)?;
-    timings.detection = t0.elapsed();
-    span.count("clusters", detection.object_count() as u64);
-    span.count("duplicate_pairs", detection.pairs.len() as u64);
-    drop(span);
-
+    let (match_results, matching) = stages::match_sources(tables, config, parent);
+    let (integrated, transformation) = stages::transform(tables, &match_results, config, parent)?;
+    let (detection, detect) = stages::detect(&integrated, config, parent)?;
+    let (annotated, cluster) = stages::cluster(&integrated, &detection, parent)?;
     Ok(PreparedSources {
         match_results,
         integrated,
         detection,
         annotated,
-        timings,
+        timings: StageTimings {
+            matching,
+            transformation,
+            detection: detect + cluster,
+            fusion: Duration::ZERO,
+        },
     })
-}
-
-/// Stages 1–2 of both [`prepare_tables_traced`] and
-/// [`PreparedSources::apply_delta_traced`]: DUMAS schema matching, then
-/// the transformation (rename → sourceID → full outer union), each under
-/// its own span and timed into `timings`.
-fn match_and_transform(
-    tables: &[&Table],
-    config: &HummerConfig,
-    parent: &Span,
-    timings: &mut StageTimings,
-) -> Result<(Vec<MatchResult>, Table)> {
-    let mut span = parent.child("match");
-    let t0 = Instant::now();
-    let match_results = match_star_par(tables, &config.matcher, config.parallelism);
-    timings.matching = t0.elapsed();
-    span.count("tables", tables.len() as u64);
-    span.count("correspondences", total_correspondences(&match_results));
-    span.count("degree", config.parallelism.get() as u64);
-    drop(span);
-
-    let mut span = parent.child("transform");
-    let t0 = Instant::now();
-    let integrated = integrate_with_layout(tables, &match_results, "Integrated", config.layout)?;
-    timings.transformation = t0.elapsed();
-    span.count("union_rows", integrated.len() as u64);
-    span.count("union_cols", integrated.schema().len() as u64);
-    drop(span);
-    Ok((match_results, integrated))
-}
-
-/// Correspondences across all match results (a span counter).
-fn total_correspondences(results: &[MatchResult]) -> u64 {
-    results
-        .iter()
-        .map(|m| m.correspondence_count() as u64)
-        .sum()
-}
-
-/// Attach detection counters to the `detect` span: blocking-window hits
-/// (candidates), filter rejections, pairs actually scored, edit-distance
-/// memo hits, and — on the columnar path — how many 512-pair blocks the
-/// vectorized scorer processed.
-fn count_detection(
-    span: &mut Span,
-    stats: &hummer_dupdetect::DetectionStats,
-    config: &HummerConfig,
-) {
-    if !span.is_recording() {
-        return;
-    }
-    span.count("candidates", stats.candidates as u64);
-    span.count("filtered_out", stats.filtered_out as u64);
-    span.count("compared", stats.compared as u64);
-    span.count("memo_hits", stats.memo_hits as u64);
-    if config.layout == ExecutionLayout::Columnar {
-        span.count(
-            "columnar_blocks",
-            stats.compared.div_ceil(hummer_dupdetect::PAIR_BLOCK) as u64,
-        );
-    }
 }
 
 /// What one [`PreparedSources::apply_delta`] cost and how much it reused.
@@ -250,18 +178,16 @@ impl PreparedSources {
         config: &HummerConfig,
         parent: &Span,
     ) -> Result<(PreparedSources, DeltaReport)> {
-        let mut timings = StageTimings::default();
-
         // 1–2. Matching and transformation, recomputed from scratch so
         //    instance drift that changes correspondences is honored, not
         //    approximated. If matching changed the union schema, the
         //    incremental detector notices through its cell comparison and
         //    degrades gracefully.
-        let (match_results, integrated) =
-            match_and_transform(new_tables, config, parent, &mut timings)?;
+        let (match_results, matching) = stages::match_sources(new_tables, config, parent);
+        let (integrated, transformation) =
+            stages::transform(new_tables, &match_results, config, parent)?;
 
         // 3. Duplicate detection: incremental against the old artifacts.
-        let t0 = Instant::now();
         let mut span = parent.child("detect");
         let (detection, delta_stats) = detect_delta(
             &self.integrated,
@@ -271,25 +197,23 @@ impl PreparedSources {
             &config.detector_config(),
             config.parallelism,
         )?;
-        if span.is_recording() {
-            span.count("dirty_rows", delta_stats.dirty_rows as u64);
-            span.count("candidates", delta_stats.candidates as u64);
-            span.count("compared", delta_stats.compared as u64);
-            span.count("carried_pairs", delta_stats.carried_pairs as u64);
-            span.count("scored_pairs", delta_stats.scored_pairs as u64);
-            span.count(
-                "affected_components",
-                delta_stats.affected_components as u64,
-            );
-            span.count("full_rescore", u64::from(delta_stats.full_rescore));
-        }
-        drop(span);
-        let mut span = parent.child("cluster");
-        let annotated = annotate_object_ids(&integrated, &detection)?;
-        timings.detection = t0.elapsed();
-        span.count("clusters", detection.object_count() as u64);
-        drop(span);
+        span.count("dirty_rows", delta_stats.dirty_rows as u64);
+        span.count("candidates", delta_stats.candidates as u64);
+        span.count("compared", delta_stats.compared as u64);
+        span.count("carried_pairs", delta_stats.carried_pairs as u64);
+        span.count("scored_pairs", delta_stats.scored_pairs as u64);
+        let components = delta_stats.affected_components as u64;
+        span.count("affected_components", components);
+        span.count("full_rescore", u64::from(delta_stats.full_rescore));
+        let detect = span.finish();
+        let (annotated, cluster) = stages::cluster(&integrated, &detection, parent)?;
 
+        let timings = StageTimings {
+            matching,
+            transformation,
+            detection: detect + cluster,
+            fusion: Duration::ZERO,
+        };
         Ok((
             PreparedSources {
                 match_results,
@@ -342,26 +266,7 @@ pub fn fuse_prepared_traced(
     par: Parallelism,
     parent: &Span,
 ) -> Result<PipelineOutcome> {
-    let mut timings = prepared.timings;
-    let mut span = parent.child("fuse");
-    let t0 = Instant::now();
-    let mut spec = FusionSpec::by_key(vec![OBJECT_ID_COLUMN])
-        .drop_column(OBJECT_ID_COLUMN)
-        .drop_column(hummer_matching::SOURCE_ID_COLUMN)
-        .with_parallelism(par);
-    for (col, rspec) in resolutions {
-        spec = spec.resolve(col.clone(), rspec.clone());
-    }
-    let fused = fuse(&prepared.annotated, &spec, registry)?;
-    timings.fusion = t0.elapsed();
-    if span.is_recording() {
-        span.count("fused_rows", fused.table.len() as u64);
-        span.count("merged_clusters", fused.merged_clusters as u64);
-        span.count("conflicts", fused.conflict_count as u64);
-        span.count("degree", par.get() as u64);
-    }
-    drop(span);
-
+    let (fused, fusion) = stages::fuse(&prepared.annotated, resolutions, registry, par, parent)?;
     Ok(PipelineOutcome {
         result: fused.table,
         lineage: fused.lineage,
@@ -370,7 +275,10 @@ pub fn fuse_prepared_traced(
         match_results: prepared.match_results.clone(),
         integrated: prepared.integrated.clone(),
         detection: prepared.detection.clone(),
-        timings,
+        timings: StageTimings {
+            fusion,
+            ..prepared.timings
+        },
     })
 }
 
@@ -561,7 +469,7 @@ impl Hummer {
                 .iter()
                 .map(|a| self.repository.get(a))
                 .collect::<Result<_>>()?;
-            let matches = match_star(&tables, &self.config.matcher);
+            let (matches, _) = stages::match_sources(&tables, &self.config, &Span::noop());
             let mut aligned = TableSet::new();
             aligned.add(tables[0].clone());
             for (t, m) in tables[1..].iter().zip(&matches) {

@@ -7,23 +7,22 @@
 //! result set
 //! ```
 //!
-//! Each step is a phase of [`Wizard`]; the mutating accessors between
-//! phases are the programmatic equivalent of the demo GUI's overrides
-//! ("users can correct or adjust the matching result", "users can
-//! optionally adjust the results of the heuristics by hand", "sure
-//! duplicates, sure non-duplicates, and unsure cases, all of which users
-//! can decide upon individually").
+//! Each step is a phase of [`Wizard`] running [`crate::stages`]; the
+//! mutating accessors between phases are the programmatic equivalent of
+//! the demo GUI's overrides ("users can correct or adjust the matching
+//! result", "users can optionally adjust the results of the heuristics by
+//! hand", "sure duplicates, sure non-duplicates, and unsure cases, all of
+//! which users can decide upon individually").
 
 use crate::error::{HummerError, Result};
 use crate::pipeline::{HummerConfig, PipelineOutcome, StageTimings};
 use crate::repository::MetadataRepository;
-use hummer_dupdetect::{
-    annotate_object_ids, detect_duplicates_par, DetectionResult, DetectorConfig, OBJECT_ID_COLUMN,
-};
+use crate::stages;
+use hummer_dupdetect::{DetectionResult, DetectorConfig};
 use hummer_engine::Table;
-use hummer_fusion::{fuse, FunctionRegistry, FusionSpec, ResolutionSpec};
-use hummer_matching::{integrate, match_star_par, MatchResult};
-use std::time::Instant;
+use hummer_fusion::{FunctionRegistry, ResolutionSpec};
+use hummer_matching::MatchResult;
+use hummer_obs::Span;
 
 /// Where in the six-step flow the wizard currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,18 +40,6 @@ pub enum WizardPhase {
     BrowseResult,
 }
 
-impl WizardPhase {
-    fn name(&self) -> &'static str {
-        match self {
-            WizardPhase::AdjustMatching => "AdjustMatching",
-            WizardPhase::AdjustDuplicateDefinition => "AdjustDuplicateDefinition",
-            WizardPhase::ConfirmDuplicates => "ConfirmDuplicates",
-            WizardPhase::SpecifyResolution => "SpecifyResolution",
-            WizardPhase::BrowseResult => "BrowseResult",
-        }
-    }
-}
-
 /// The step-wise pipeline.
 #[derive(Debug)]
 pub struct Wizard {
@@ -62,6 +49,7 @@ pub struct Wizard {
     match_results: Vec<MatchResult>,
     integrated: Option<Table>,
     detection: Option<DetectionResult>,
+    annotated: Option<Table>,
     resolutions: Vec<(String, ResolutionSpec)>,
     timings: StageTimings,
 }
@@ -84,13 +72,9 @@ impl Wizard {
             .iter()
             .map(|a| repo.get(a).cloned())
             .collect::<Result<_>>()?;
-        let t0 = Instant::now();
         let refs: Vec<&Table> = tables.iter().collect();
-        let match_results = match_star_par(&refs, &config.matcher, config.parallelism);
-        let timings = StageTimings {
-            matching: t0.elapsed(),
-            ..Default::default()
-        };
+        let (match_results, matching) =
+            stages::match_sources(&refs, &config, &config.obs.tracer.trace("wizard"));
         Ok(Wizard {
             config,
             phase: WizardPhase::AdjustMatching,
@@ -98,8 +82,12 @@ impl Wizard {
             match_results,
             integrated: None,
             detection: None,
+            annotated: None,
             resolutions: Vec::new(),
-            timings,
+            timings: StageTimings {
+                matching,
+                ..Default::default()
+            },
         })
     }
 
@@ -108,13 +96,18 @@ impl Wizard {
         self.phase
     }
 
+    /// A root span for one step's stage.
+    fn root(&self) -> Span {
+        self.config.obs.tracer.trace("wizard")
+    }
+
     fn expect_phase(&self, expected: WizardPhase, action: &str) -> Result<()> {
         if self.phase == expected {
             Ok(())
         } else {
             Err(HummerError::WizardPhase {
                 action: action.to_string(),
-                phase: self.phase.name().to_string(),
+                phase: format!("{:?}", self.phase),
             })
         }
     }
@@ -137,10 +130,10 @@ impl Wizard {
     /// rename, tag with `sourceID`, full outer union. Advances to step 3.
     pub fn confirm_matching(&mut self) -> Result<&Table> {
         self.expect_phase(WizardPhase::AdjustMatching, "confirm matching")?;
-        let t0 = Instant::now();
         let refs: Vec<&Table> = self.tables.iter().collect();
-        let integrated = integrate(&refs, &self.match_results, "Integrated")?;
-        self.timings.transformation = t0.elapsed();
+        let (integrated, transformation) =
+            stages::transform(&refs, &self.match_results, &self.config, &self.root())?;
+        self.timings.transformation = transformation;
         self.integrated = Some(integrated);
         self.phase = WizardPhase::AdjustDuplicateDefinition;
         Ok(self.integrated.as_ref().expect("just set"))
@@ -168,10 +161,8 @@ impl Wizard {
     pub fn run_detection(&mut self) -> Result<&DetectionResult> {
         self.expect_phase(WizardPhase::AdjustDuplicateDefinition, "run detection")?;
         let integrated = self.integrated.as_ref().expect("set at confirm_matching");
-        let t0 = Instant::now();
-        let detection =
-            detect_duplicates_par(integrated, &self.config.detector, self.config.parallelism)?;
-        self.timings.detection = t0.elapsed();
+        let (detection, detect) = stages::detect(integrated, &self.config, &self.root())?;
+        self.timings.detection = detect;
         self.detection = Some(detection);
         self.phase = WizardPhase::ConfirmDuplicates;
         Ok(self.detection.as_ref().expect("just set"))
@@ -192,10 +183,17 @@ impl Wizard {
         Ok(self.detection.as_mut().expect("set at run_detection"))
     }
 
-    /// Accept the (possibly adjusted) duplicates. Advances to step 5.
+    /// Accept the (possibly adjusted) duplicates and append `objectID`.
+    /// Advances to step 5.
     pub fn confirm_duplicates(&mut self) -> Result<()> {
         self.expect_phase(WizardPhase::ConfirmDuplicates, "confirm duplicates")?;
-        self.detection.as_mut().expect("set").recluster();
+        let root = self.root();
+        let detection = self.detection.as_mut().expect("set at run_detection");
+        detection.recluster();
+        let integrated = self.integrated.as_ref().expect("set at confirm_matching");
+        let (annotated, cluster) = stages::cluster(integrated, detection, &root)?;
+        self.timings.detection += cluster;
+        self.annotated = Some(annotated);
         self.phase = WizardPhase::SpecifyResolution;
         Ok(())
     }
@@ -217,19 +215,11 @@ impl Wizard {
     /// Run fusion and produce the final outcome. Advances to step 6.
     pub fn finish(&mut self, registry: &FunctionRegistry) -> Result<PipelineOutcome> {
         self.expect_phase(WizardPhase::SpecifyResolution, "finish")?;
-        let integrated = self.integrated.clone().expect("set at confirm_matching");
-        let detection = self.detection.clone().expect("set at run_detection");
-        let annotated = annotate_object_ids(&integrated, &detection)?;
-        let t0 = Instant::now();
-        let mut spec = FusionSpec::by_key(vec![OBJECT_ID_COLUMN])
-            .drop_column(OBJECT_ID_COLUMN)
-            .drop_column(hummer_matching::SOURCE_ID_COLUMN)
-            .with_parallelism(self.config.parallelism);
-        for (col, rspec) in &self.resolutions {
-            spec = spec.resolve(col.clone(), rspec.clone());
-        }
-        let fused = fuse(&annotated, &spec, registry)?;
-        self.timings.fusion = t0.elapsed();
+        let annotated = self.annotated.as_ref().expect("set at confirm_duplicates");
+        let par = self.config.parallelism;
+        let (fused, fusion) =
+            stages::fuse(annotated, &self.resolutions, registry, par, &self.root())?;
+        self.timings.fusion = fusion;
         self.phase = WizardPhase::BrowseResult;
         Ok(PipelineOutcome {
             result: fused.table,
@@ -237,8 +227,8 @@ impl Wizard {
             sample_conflicts: fused.sample_conflicts,
             conflict_count: fused.conflict_count,
             match_results: self.match_results.clone(),
-            integrated,
-            detection,
+            integrated: self.integrated.clone().expect("set at confirm_matching"),
+            detection: self.detection.clone().expect("set at run_detection"),
             timings: self.timings,
         })
     }

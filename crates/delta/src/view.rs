@@ -14,9 +14,8 @@
 //! which legitimately renumbers — are equal to the snapshot. No trust in
 //! the caller's bookkeeping is required for correctness.
 
-use hummer_dupdetect::{DetectionResult, RowMapping, OBJECT_ID_COLUMN};
-use hummer_engine::Table;
-use hummer_fusion::fuse::SOURCE_ID_COLUMN;
+use hummer_dupdetect::{DetectionResult, RowMapping};
+use hummer_engine::{Table, OBJECT_ID_COLUMN};
 use hummer_fusion::{
     fuse_incremental, fuse_memo, ClusterPlan, FunctionRegistry, FusedTable, FusionError,
     FusionMemo, FusionSpec, IncrementalFusionStats, Parallelism, ResolutionSpec,
@@ -56,7 +55,7 @@ impl FusedView {
         registry: &FunctionRegistry,
         par: Parallelism,
     ) -> Result<FusedView, FusionError> {
-        let spec = Self::spec(resolutions, par);
+        let spec = FusionSpec::by_object_id(resolutions, par);
         let (fused, memo) = fuse_memo(annotated, &spec, registry)?;
         Ok(FusedView {
             resolutions: resolutions.to_vec(),
@@ -67,17 +66,6 @@ impl FusedView {
             memo,
             fused,
         })
-    }
-
-    fn spec(resolutions: &[(String, ResolutionSpec)], par: Parallelism) -> FusionSpec {
-        let mut spec = FusionSpec::by_key(vec![OBJECT_ID_COLUMN])
-            .drop_column(OBJECT_ID_COLUMN)
-            .drop_column(SOURCE_ID_COLUMN)
-            .with_parallelism(par);
-        for (col, rspec) in resolutions {
-            spec = spec.resolve(col.clone(), rspec.clone());
-        }
-        spec
     }
 
     /// The maintained fused result.
@@ -115,7 +103,7 @@ impl FusedView {
                 annotated.len()
             )));
         }
-        let spec = Self::spec(&self.resolutions, self.par);
+        let spec = FusionSpec::by_object_id(&self.resolutions, self.par);
 
         // The union schema can change when matching decisions change; then
         // old fused rows describe different columns and nothing is safe to
@@ -268,7 +256,7 @@ mod tests {
 
         let spec_check = fuse(
             &a1,
-            &FusedView::spec(&resolutions, Parallelism::sequential()),
+            &FusionSpec::by_object_id(&resolutions, Parallelism::sequential()),
             &registry,
         )
         .unwrap();
@@ -290,7 +278,7 @@ mod tests {
         let stats = view.apply_delta(&a1, &d1, &mapping, &registry).unwrap();
         let scratch = fuse(
             &a1,
-            &FusedView::spec(&[], Parallelism::sequential()),
+            &FusionSpec::by_object_id(&[], Parallelism::sequential()),
             &registry,
         )
         .unwrap();

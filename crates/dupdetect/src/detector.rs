@@ -7,13 +7,10 @@ use crate::heuristics::{select_attributes, HeuristicConfig};
 use crate::measure::TupleSimilarity;
 use crate::unionfind::UnionFind;
 use hummer_engine::error::EngineError;
-use hummer_engine::{Column, ColumnType, ExecutionLayout, Result, Row, Table, Value};
+use hummer_engine::{
+    Column, ColumnType, ExecutionLayout, Result, Row, Table, Value, OBJECT_ID_COLUMN,
+};
 use hummer_par::Parallelism;
-
-/// Name of the cluster column the detector appends: "the output of
-/// duplicate detection is the same as the input relation, but enriched by
-/// an objectID column for identification" (paper §2.3).
-pub const OBJECT_ID_COLUMN: &str = "objectID";
 
 /// Candidate generation specified by column *names* (resolved against the
 /// input table at detection time).
@@ -316,21 +313,37 @@ pub fn detect_duplicates_par(
     cfg: &DetectorConfig,
     par: Parallelism,
 ) -> Result<DetectionResult> {
+    check_thresholds(cfg)?;
+    let attrs = resolve_attributes(table, cfg)?;
+    detect_with_measure(table, &TupleSimilarity::new(table, attrs), cfg, par)
+}
+
+/// Reject a configuration whose unsure band lies above its threshold.
+pub(crate) fn check_thresholds(cfg: &DetectorConfig) -> Result<()> {
     if cfg.unsure_threshold > cfg.threshold {
         return Err(EngineError::Expression(format!(
             "unsure_threshold {} exceeds threshold {}",
             cfg.unsure_threshold, cfg.threshold
         )));
     }
-    let attrs = resolve_attributes(table, cfg)?;
-    let attributes_used: Vec<String> = attrs
+    Ok(())
+}
+
+/// [`detect_duplicates_par`] after the measure over `table` is built (the
+/// incremental fallback passes in the measure it already has).
+pub(crate) fn detect_with_measure(
+    table: &Table,
+    measure: &TupleSimilarity,
+    cfg: &DetectorConfig,
+    par: Parallelism,
+) -> Result<DetectionResult> {
+    let attributes_used: Vec<String> = measure
+        .attrs()
         .iter()
         .map(|&i| table.schema().column(i).name.clone())
         .collect();
 
     let strategy = resolve_candidate_strategy(table, &cfg.candidates)?;
-
-    let measure = TupleSimilarity::new(table, attrs);
     let candidates = candidate_pairs(table, &strategy);
     let mut stats = DetectionStats {
         candidates: candidates.len(),
@@ -340,7 +353,7 @@ pub fn detect_duplicates_par(
     // Score candidate chunks on up to `par` threads; the similarity caches
     // are shared read-only. Chunk results merge in candidate order, so the
     // pair lists match the sequential loop element for element.
-    let scored = score_candidates(table, &measure, cfg, &candidates, par);
+    let scored = score_candidates(table, measure, cfg, &candidates, par);
     stats.filtered_out = scored.filtered_out;
     stats.compared = scored.compared;
     stats.memo_hits = scored.memo_hits;

@@ -11,11 +11,8 @@
 //! how diverse the values are. Bookkeeping columns (`sourceID`, `objectID`)
 //! are excluded by name.
 
-use hummer_engine::Table;
+use hummer_engine::{is_bookkeeping_column, Table};
 use std::collections::HashSet;
-
-/// Columns never used for comparison: pipeline bookkeeping.
-pub const BOOKKEEPING_COLUMNS: [&str; 2] = ["sourceID", "objectID"];
 
 /// Per-attribute heuristic scores.
 #[derive(Debug, Clone)]
@@ -97,11 +94,7 @@ pub fn score_attributes(table: &Table) -> Vec<AttributeScore> {
 pub fn select_attributes(table: &Table, cfg: &HeuristicConfig) -> Vec<usize> {
     let mut scored: Vec<AttributeScore> = score_attributes(table)
         .into_iter()
-        .filter(|s| {
-            !BOOKKEEPING_COLUMNS
-                .iter()
-                .any(|b| b.eq_ignore_ascii_case(&s.name))
-        })
+        .filter(|s| !is_bookkeeping_column(&s.name))
         .filter(|s| s.coverage >= cfg.min_coverage && s.score >= cfg.min_score)
         .collect();
     scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.index.cmp(&b.index)));

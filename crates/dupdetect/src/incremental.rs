@@ -44,8 +44,8 @@
 //! classifications.
 
 use crate::detector::{
-    detect_duplicates_par, resolve_attributes, score_candidates, sort_pairs_canonical,
-    DetectionResult, DetectionStats, DetectorConfig, DuplicatePair,
+    check_thresholds, detect_with_measure, resolve_attributes, score_candidates,
+    sort_pairs_canonical, DetectionResult, DetectionStats, DetectorConfig, DuplicatePair,
 };
 use crate::measure::TupleSimilarity;
 use crate::unionfind::UnionFind;
@@ -166,15 +166,17 @@ pub struct DeltaDetectionStats {
     pub fallback_reason: Option<String>,
 }
 
-/// Run a full detection and report it as a (degenerate) delta outcome.
+/// Run a full detection with `measure` over `new_table` and report it as a
+/// (degenerate) delta outcome.
 fn full_rescore(
     new_table: &Table,
+    measure: &TupleSimilarity,
     mapping: &RowMapping,
     cfg: &DetectorConfig,
     par: Parallelism,
     reason: &str,
 ) -> Result<(DetectionResult, DeltaDetectionStats)> {
-    let result = detect_duplicates_par(new_table, cfg, par)?;
+    let result = detect_with_measure(new_table, measure, cfg, par)?;
     let stats = DeltaDetectionStats {
         old_rows: mapping.old_len(),
         new_rows: new_table.len(),
@@ -234,12 +236,7 @@ pub fn detect_delta(
     cfg: &DetectorConfig,
     par: Parallelism,
 ) -> Result<(DetectionResult, DeltaDetectionStats)> {
-    if cfg.unsure_threshold > cfg.threshold {
-        return Err(EngineError::Expression(format!(
-            "unsure_threshold {} exceeds threshold {}",
-            cfg.unsure_threshold, cfg.threshold
-        )));
-    }
+    check_thresholds(cfg)?;
     if mapping.old_len() != old_table.len() || mapping.new_len() != new_table.len() {
         return Err(EngineError::Expression(format!(
             "row mapping shape ({} -> {}) does not match the tables ({} -> {})",
@@ -255,27 +252,25 @@ pub fn detect_delta(
         ));
     }
 
-    // Only the all-pairs strategy has an incremental index: a
-    // sorted-neighborhood window shifts globally under inserts.
-    if cfg.candidates != CandidateSpec::AllPairs {
-        return full_rescore(
-            new_table,
-            mapping,
-            cfg,
-            par,
-            "blocking strategy has no incremental candidate index",
-        );
-    }
-
-    // Attribute selection must agree with the old run (same names, same
-    // order) — otherwise the cell caches are not comparable.
     let attrs_new = resolve_attributes(new_table, cfg)?;
     let names_new: Vec<String> = attrs_new
         .iter()
         .map(|&i| new_table.schema().column(i).name.clone())
         .collect();
-    if names_new != old.attributes_used {
-        return full_rescore(new_table, mapping, cfg, par, "attribute selection changed");
+    // Only the all-pairs strategy has an incremental index (a
+    // sorted-neighborhood window shifts globally under inserts), and the
+    // attribute selection must agree with the old run (same names, same
+    // order) — otherwise the cell caches are not comparable.
+    let unusable = if cfg.candidates != CandidateSpec::AllPairs {
+        Some("blocking strategy has no incremental candidate index")
+    } else if names_new != old.attributes_used {
+        Some("attribute selection changed")
+    } else {
+        None
+    };
+    if let Some(reason) = unusable {
+        let measure = TupleSimilarity::new(new_table, attrs_new);
+        return full_rescore(new_table, &measure, mapping, cfg, par, reason);
     }
     let attrs_old: Vec<usize> = old
         .attributes_used
@@ -314,11 +309,12 @@ pub fn detect_delta(
     let dirty_rows: Vec<usize> = (0..n_new).filter(|&i| dirty[i]).collect();
 
     // When a corpus-statistics window crossing dirties most of the table,
-    // the incremental bookkeeping (old-cache rebuild, carry-over scans)
-    // costs more than it saves — cap the worst case at a plain full run.
+    // the incremental bookkeeping (carry-over scans, scoped closure) costs
+    // more than it saves — cap the worst case at a plain full run.
     if 2 * dirty_rows.len() > n_new {
         return full_rescore(
             new_table,
+            &measure_new,
             mapping,
             cfg,
             par,

@@ -66,7 +66,6 @@ pub use detector::{
     annotate_object_ids, detect_duplicates, detect_duplicates_par, resolve_attributes,
     resolve_candidate_strategy, score_candidates, sort_pairs_canonical, CandidateSpec,
     DetectionResult, DetectionStats, DetectorConfig, DuplicatePair, ScoredCandidates,
-    OBJECT_ID_COLUMN,
 };
 pub use heuristics::{score_attributes, select_attributes, AttributeScore, HeuristicConfig};
 pub use hummer_engine::ExecutionLayout;

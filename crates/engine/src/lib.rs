@@ -61,5 +61,20 @@ pub use schema::{Column, ColumnType, Schema};
 pub use table::Table;
 pub use value::{Date, Value};
 
+/// Provenance column added to every source before the union (its alias);
+/// `CHOOSE(source)` and lineage color-coding are built on it.
+pub const SOURCE_ID_COLUMN: &str = "sourceID";
+
+/// Cluster column duplicate detection appends (paper §2.3).
+pub const OBJECT_ID_COLUMN: &str = "objectID";
+
+/// Whether `name` is one of the pipeline's bookkeeping columns: never
+/// compared, never a conflict, never part of a fusion query's `*`.
+pub fn is_bookkeeping_column(name: &str) -> bool {
+    [SOURCE_ID_COLUMN, OBJECT_ID_COLUMN]
+        .iter()
+        .any(|b| b.eq_ignore_ascii_case(name))
+}
+
 /// Engine-wide result alias.
 pub type Result<T> = std::result::Result<T, EngineError>;

@@ -9,20 +9,11 @@ use crate::error::FusionError;
 use crate::functions::ResolutionFunction;
 use crate::lineage::{CellLineage, Lineage};
 use crate::registry::{FunctionRegistry, ResolutionSpec};
-use hummer_engine::{Row, Table, Value};
+use hummer_engine::{is_bookkeeping_column, Row, Table, Value, OBJECT_ID_COLUMN, SOURCE_ID_COLUMN};
 use hummer_par::{par_map_indexed, Parallelism};
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Name of the provenance column consulted for source annotations (added by
-/// the transformation phase).
-pub const SOURCE_ID_COLUMN: &str = "sourceID";
-
-/// Bookkeeping columns whose cross-source differences are *not* data
-/// conflicts: `sourceID` differs by construction whenever sources merge,
-/// and `objectID` is the grouping key itself.
-const NON_DATA_COLUMNS: [&str; 2] = ["sourceID", "objectID"];
 
 /// Specification of one fusion run.
 #[derive(Debug, Clone)]
@@ -54,6 +45,17 @@ impl FusionSpec {
             default_function: ResolutionSpec::named("coalesce"),
             drop_columns: Vec::new(),
             parallelism: Parallelism::sequential(),
+        }
+    }
+
+    /// The pipeline's fusion: group by `objectID`, drop the bookkeeping
+    /// columns, resolve `resolutions` (`COALESCE` elsewhere) on `par`.
+    pub fn by_object_id(resolutions: &[(String, ResolutionSpec)], par: Parallelism) -> Self {
+        FusionSpec {
+            resolutions: resolutions.to_vec(),
+            drop_columns: vec![OBJECT_ID_COLUMN.into(), SOURCE_ID_COLUMN.into()],
+            parallelism: par,
+            ..FusionSpec::by_key(vec![OBJECT_ID_COLUMN])
         }
     }
 
@@ -159,9 +161,9 @@ pub(crate) fn resolve_cluster(
     for &col in out_cols {
         ctx.column = &input.schema().column(col).name;
         ctx.column_index = col;
-        let is_data_column = !NON_DATA_COLUMNS
-            .iter()
-            .any(|b| b.eq_ignore_ascii_case(ctx.column));
+        // `sourceID` differs by construction whenever sources merge, and
+        // `objectID` is the grouping key: neither is a data conflict.
+        let is_data_column = !is_bookkeeping_column(ctx.column);
         let had_conflict = is_data_column && ctx.is_conflict();
         let func = explicit.get(&col).unwrap_or(default_fn);
         let resolved = func.resolve(&ctx)?;

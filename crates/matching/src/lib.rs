@@ -65,5 +65,4 @@ pub use matcher::{match_star, match_star_par, match_tables, match_tables_par, Ma
 pub use matrix::SimilarityMatrix;
 pub use transform::{
     add_source_id, apply_renames, integrate, integrate_columnar, integrate_with_layout,
-    SOURCE_ID_COLUMN,
 };

@@ -6,12 +6,8 @@ use crate::correspondence::MatchResult;
 use hummer_engine::ops::{outer_union, outer_union_columnar};
 use hummer_engine::{
     Column, ColumnData, ColumnType, ColumnarBatch, ExecutionLayout, Result, Schema, Table, Value,
+    SOURCE_ID_COLUMN,
 };
-
-/// Name of the provenance column added to every table before the union.
-/// It stores the source alias and is what `CHOOSE(source)` and the lineage
-/// color-coding are built on.
-pub const SOURCE_ID_COLUMN: &str = "sourceID";
 
 /// Rename the matched columns of `table` to the preferred names recorded in
 /// `result` (which must have been produced with `table` on the right side).

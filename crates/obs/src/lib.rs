@@ -9,11 +9,12 @@
 //!   read from a consistent-enough snapshot with a bounded ~1.6% relative
 //!   error (64 sub-buckets per power-of-two octave).
 //! - [`Tracer`] / [`Span`]: per-query trace IDs with nested stage spans.
-//!   A span is an RAII guard — it measures from construction to drop and
-//!   pushes one flat [`SpanRecord`] into a bounded ring buffer. Trees are
-//!   assembled at query time ([`Tracer::trace_tree`]), never on the hot
-//!   path. A disabled tracer (the default) costs one `Option` branch per
-//!   span and performs no clock reads, no allocation, and no locking.
+//!   A span is an RAII guard — it measures from construction to
+//!   [`Span::finish`] (or drop) and pushes one flat [`SpanRecord`] into a
+//!   bounded ring buffer. Trees are assembled at query time
+//!   ([`Tracer::trace_tree`]), never on the hot path. A disabled tracer
+//!   (the default) costs one `Option` branch and one clock read per span,
+//!   and performs no allocation and no locking.
 //! - [`PromText`]: a small writer for the Prometheus text exposition
 //!   format (`counter` / `gauge` / `histogram` families with labels).
 //!
@@ -62,8 +63,8 @@ pub use vecs::{Counter, CounterVec, HistogramVec};
 
 /// Observability knob carried on `HummerConfig`.
 ///
-/// The default is fully disabled: spans become no-ops that skip even the
-/// clock read, so library users pay nothing unless they opt in.
+/// The default is fully disabled: spans record nothing and read the clock
+/// once, so library users pay no allocation or locking unless they opt in.
 #[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
     /// Destination for spans produced by pipeline stages. Disabled by

@@ -5,7 +5,7 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A completed span, as stored in the tracer's ring buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,6 +36,17 @@ struct Ring {
     dropped: u64,
 }
 
+impl Ring {
+    /// Append one record, evicting (and counting) the oldest when full.
+    fn push(&mut self, record: SpanRecord) {
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
+            self.dropped += 1;
+        }
+        self.records.push_back(record);
+    }
+}
+
 #[derive(Debug)]
 struct Shared {
     next_id: AtomicU64,
@@ -50,7 +61,8 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A disabled tracer: spans skip clock reads, allocation, and locking.
+    /// A disabled tracer: spans read the clock once and skip allocation
+    /// and locking.
     pub fn disabled() -> Self {
         Tracer::default()
     }
@@ -77,26 +89,7 @@ impl Tracer {
 
     /// Start a new trace; the returned root span carries a fresh trace id.
     pub fn trace(&self, name: impl Into<Cow<'static, str>>) -> Span {
-        match &self.shared {
-            None => Span { inner: None },
-            Some(shared) => {
-                let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-                let now = Instant::now();
-                Span {
-                    inner: Some(SpanInner {
-                        shared: Arc::clone(shared),
-                        trace: id,
-                        id,
-                        parent: None,
-                        name: name.into(),
-                        epoch: now,
-                        start: now,
-                        counters: Vec::new(),
-                        node: None,
-                    }),
-                }
-            }
-        }
+        Span::open(self.shared.as_ref(), None, None, name)
     }
 
     /// Allocate a bare trace id without creating a span — for tagging
@@ -121,28 +114,19 @@ impl Tracer {
         parent: u64,
         name: impl Into<Cow<'static, str>>,
     ) -> Span {
+        if let Some(shared) = &self.shared {
+            shared
+                .next_id
+                .fetch_max(parent.saturating_add(1), Ordering::Relaxed);
+        }
+        Span::open(self.shared.as_ref(), Some((trace, parent)), None, name)
+    }
+
+    /// Apply `f` to the ring, or return `T::default()` when disabled.
+    fn with_ring<T: Default>(&self, f: impl FnOnce(&mut Ring) -> T) -> T {
         match &self.shared {
-            None => Span { inner: None },
-            Some(shared) => {
-                shared
-                    .next_id
-                    .fetch_max(parent.saturating_add(1), Ordering::Relaxed);
-                let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-                let now = Instant::now();
-                Span {
-                    inner: Some(SpanInner {
-                        shared: Arc::clone(shared),
-                        trace,
-                        id,
-                        parent: Some(parent),
-                        name: name.into(),
-                        epoch: now,
-                        start: now,
-                        counters: Vec::new(),
-                        node: None,
-                    }),
-                }
-            }
+            None => T::default(),
+            Some(shared) => f(&mut shared.ring.lock().expect("obs ring poisoned")),
         }
     }
 
@@ -150,45 +134,25 @@ impl Tracer {
     /// workers to harvest the span subtree of one shard batch from a
     /// dedicated capture tracer before shipping it back to the coordinator.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        match &self.shared {
-            None => Vec::new(),
-            Some(shared) => {
-                let mut ring = shared.ring.lock().expect("obs ring poisoned");
-                ring.records.drain(..).collect()
-            }
-        }
+        self.with_ring(|ring| ring.records.drain(..).collect())
     }
 
     /// Completed spans currently retained in the ring.
     pub fn span_count(&self) -> usize {
-        match &self.shared {
-            None => 0,
-            Some(shared) => shared.ring.lock().expect("obs ring poisoned").records.len(),
-        }
+        self.with_ring(|ring| ring.records.len())
     }
 
     /// Spans evicted from the ring since the tracer was created.
     pub fn dropped_spans(&self) -> u64 {
-        match &self.shared {
-            None => 0,
-            Some(shared) => shared.ring.lock().expect("obs ring poisoned").dropped,
-        }
+        self.with_ring(|ring| ring.dropped)
     }
 
     /// All retained records for one trace, in completion order.
     pub fn trace_spans(&self, trace: u64) -> Vec<SpanRecord> {
-        match &self.shared {
-            None => Vec::new(),
-            Some(shared) => shared
-                .ring
-                .lock()
-                .expect("obs ring poisoned")
-                .records
-                .iter()
-                .filter(|r| r.trace == trace)
-                .cloned()
-                .collect(),
-        }
+        self.with_ring(|ring| {
+            let records = ring.records.iter().filter(|r| r.trace == trace);
+            records.cloned().collect()
+        })
     }
 
     /// Assemble the span tree for one trace, or `None` if no spans for it
@@ -238,22 +202,18 @@ impl Tracer {
     /// Trace ids of the most recently completed root spans, newest first,
     /// up to `limit`.
     pub fn recent_traces(&self, limit: usize) -> Vec<u64> {
-        match &self.shared {
-            None => Vec::new(),
-            Some(shared) => {
-                let ring = shared.ring.lock().expect("obs ring poisoned");
-                let mut out = Vec::new();
-                for r in ring.records.iter().rev() {
-                    if r.parent.is_none() && !out.contains(&r.trace) {
-                        out.push(r.trace);
-                        if out.len() == limit {
-                            break;
-                        }
+        self.with_ring(|ring| {
+            let mut out = Vec::new();
+            for r in ring.records.iter().rev() {
+                if r.parent.is_none() && !out.contains(&r.trace) {
+                    out.push(r.trace);
+                    if out.len() == limit {
+                        break;
                     }
                 }
-                out
             }
-        }
+            out
+        })
     }
 }
 
@@ -266,16 +226,17 @@ struct SpanInner {
     name: Cow<'static, str>,
     /// Start instant of the trace root, for computing start offsets.
     epoch: Instant,
-    start: Instant,
     counters: Vec<(Cow<'static, str>, u64)>,
     node: Option<String>,
 }
 
-/// An in-flight span: measures from construction to drop, then pushes one
-/// [`SpanRecord`] into its tracer's ring. Create nested stage spans with
-/// [`Span::child`]; attach counters with [`Span::count`].
+/// An in-flight span: measures from construction to [`Span::finish`] (or
+/// drop), then pushes one [`SpanRecord`] into its tracer's ring. Create
+/// nested stage spans with [`Span::child`]; attach counters with
+/// [`Span::count`].
 #[derive(Debug)]
 pub struct Span {
+    start: Instant,
     inner: Option<SpanInner>,
 }
 
@@ -288,7 +249,32 @@ impl Default for Span {
 impl Span {
     /// A span that records nothing — the unit for untraced call sites.
     pub fn noop() -> Span {
-        Span { inner: None }
+        Span::open(None, None, None, "")
+    }
+
+    /// Start a span on `shared` (`None`: disabled), under `(trace, parent)`
+    /// or as a new trace root, offset from `epoch` or its own start.
+    fn open(
+        shared: Option<&Arc<Shared>>,
+        link: Option<(u64, u64)>,
+        epoch: Option<Instant>,
+        name: impl Into<Cow<'static, str>>,
+    ) -> Span {
+        let start = Instant::now();
+        let inner = shared.map(|shared| {
+            let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+            SpanInner {
+                shared: Arc::clone(shared),
+                trace: link.map_or(id, |(trace, _)| trace),
+                id,
+                parent: link.map(|(_, parent)| parent),
+                name: name.into(),
+                epoch: epoch.unwrap_or(start),
+                counters: Vec::new(),
+                node: None,
+            }
+        });
+        Span { start, inner }
     }
 
     /// Whether this span will record on drop.
@@ -315,25 +301,46 @@ impl Span {
         }
     }
 
-    /// Start a child span. On a no-op span this is free and returns
-    /// another no-op.
+    /// Start a child span (a no-op under a no-op span).
     pub fn child(&self, name: impl Into<Cow<'static, str>>) -> Span {
-        match &self.inner {
-            None => Span { inner: None },
-            Some(inner) => Span {
-                inner: Some(SpanInner {
-                    shared: Arc::clone(&inner.shared),
-                    trace: inner.trace,
-                    id: inner.shared.next_id.fetch_add(1, Ordering::Relaxed),
-                    parent: Some(inner.id),
-                    name: name.into(),
-                    epoch: inner.epoch,
-                    start: Instant::now(),
-                    counters: Vec::new(),
-                    node: None,
-                }),
-            },
-        }
+        let inner = self.inner.as_ref();
+        Span::open(
+            inner.map(|i| &i.shared),
+            inner.map(|i| (i.trace, i.id)),
+            inner.map(|i| i.epoch),
+            name,
+        )
+    }
+
+    /// End the span and return its wall time: one end instant serves the
+    /// recorded `duration_us` and the returned duration, so stage timings
+    /// and span records read one clock. Disabled spans measure too.
+    pub fn finish(mut self) -> Duration {
+        let end = Instant::now();
+        self.record(end);
+        end.saturating_duration_since(self.start)
+    }
+
+    /// Push this span's record, ended at `end`, into the ring (once).
+    fn record(&mut self, end: Instant) {
+        let Some(inner) = self.inner.take() else {
+            return;
+        };
+        let record = SpanRecord {
+            trace: inner.trace,
+            id: inner.id,
+            parent: inner.parent,
+            name: inner.name,
+            start_us: duration_us(self.start.saturating_duration_since(inner.epoch)),
+            duration_us: duration_us(end.saturating_duration_since(self.start)),
+            counters: inner.counters,
+            node: inner.node,
+        };
+        // Mutex held only for the push/evict — a handful of pointer
+        // moves, ~10 times per traced query.
+        if let Ok(mut ring) = inner.shared.ring.lock() {
+            ring.push(record);
+        };
     }
 
     /// Splice a remote span subtree under this span: every record is
@@ -354,14 +361,14 @@ impl Span {
         for r in records {
             remap.insert(r.id, inner.shared.next_id.fetch_add(1, Ordering::Relaxed));
         }
-        let offset = duration_us(inner.start.saturating_duration_since(inner.epoch));
+        let offset = duration_us(self.start.saturating_duration_since(inner.epoch));
         let mut ring = inner.shared.ring.lock().expect("obs ring poisoned");
         for r in records {
             let parent = match r.parent.and_then(|p| remap.get(&p)) {
                 Some(&p) => Some(p),
                 None => Some(inner.id),
             };
-            let record = SpanRecord {
+            ring.push(SpanRecord {
                 trace: inner.trace,
                 id: remap[&r.id],
                 parent,
@@ -370,12 +377,7 @@ impl Span {
                 duration_us: r.duration_us,
                 counters: r.counters.clone(),
                 node: r.node.clone().or_else(|| Some(node.to_string())),
-            };
-            if ring.records.len() == ring.capacity {
-                ring.records.pop_front();
-                ring.dropped += 1;
-            }
-            ring.records.push_back(record);
+            });
         }
     }
 
@@ -394,32 +396,13 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            let end = Instant::now();
-            let record = SpanRecord {
-                trace: inner.trace,
-                id: inner.id,
-                parent: inner.parent,
-                name: inner.name,
-                start_us: duration_us(inner.start.saturating_duration_since(inner.epoch)),
-                duration_us: duration_us(end.saturating_duration_since(inner.start)),
-                counters: inner.counters,
-                node: inner.node,
-            };
-            // Mutex held only for the push/evict — a handful of pointer
-            // moves, ~10 times per traced query.
-            if let Ok(mut ring) = inner.shared.ring.lock() {
-                if ring.records.len() == ring.capacity {
-                    ring.records.pop_front();
-                    ring.dropped += 1;
-                }
-                ring.records.push_back(record);
-            }
+        if self.inner.is_some() {
+            self.record(Instant::now());
         }
     }
 }
 
-fn duration_us(d: std::time::Duration) -> u64 {
+fn duration_us(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
@@ -479,6 +462,23 @@ mod tests {
         drop(child);
         drop(root);
         assert_eq!(tracer.span_count(), 0);
+    }
+
+    #[test]
+    fn finish_returns_the_recorded_duration() {
+        let tracer = Tracer::with_capacity(8);
+        let (on, off) = (tracer.trace("stage"), Tracer::disabled().trace("stage"));
+        std::thread::sleep(Duration::from_millis(2));
+        let d = on.finish();
+        // Recorded once (finish, not also drop), with the returned duration.
+        let records = tracer.drain();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].duration_us, d.as_micros() as u64);
+        assert!(d >= Duration::from_millis(2));
+        assert!(
+            off.finish() >= Duration::from_millis(2),
+            "disabled spans measure too"
+        );
     }
 
     #[test]

@@ -792,7 +792,6 @@ impl FusionService {
 
         let (artifacts, hit, shards) = self.prepared_for(&key, &tables, parent)?;
         let mut fuse_span = parent.child("fuse");
-        let t0 = Instant::now();
         // The same per-request degree the prepare stages use: the serving
         // workers provide inter-query concurrency, `config.parallelism`
         // intra-query threads — configure them to multiply to the machine
@@ -803,7 +802,6 @@ impl FusionService {
             &self.registry,
             self.config.parallelism,
         )?;
-        let execute_time = t0.elapsed();
         if fuse_span.is_recording() {
             fuse_span.count("result_rows", output.table.len() as u64);
             if let Some(info) = &output.fusion {
@@ -812,7 +810,7 @@ impl FusionService {
             }
             fuse_span.count("degree", self.config.parallelism.get() as u64);
         }
-        drop(fuse_span);
+        let execute_time = fuse_span.finish();
         self.metrics.record_fusion(execute_time, self.degree());
         Ok(QueryResult {
             output,

@@ -26,11 +26,9 @@ use crate::error::{Result, ShardError};
 use crate::exec::ShardPartial;
 use hummer_dupdetect::{
     annotate_object_ids, sort_pairs_canonical, DetectionResult, DetectionStats, UnionFind,
-    OBJECT_ID_COLUMN,
 };
-use hummer_engine::{Row, Table};
+use hummer_engine::{Row, Table, OBJECT_ID_COLUMN, SOURCE_ID_COLUMN};
 use hummer_fusion::{Lineage, SampleConflict, MAX_SAMPLE_CONFLICTS};
-use hummer_matching::SOURCE_ID_COLUMN;
 
 /// The combiner's output: the merged detection artifacts plus the fused
 /// table — field for field what `prepare_tables` + `fuse_prepared` yield.

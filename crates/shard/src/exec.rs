@@ -21,19 +21,18 @@
 use crate::combine::combine_partials;
 use crate::error::{Result, ShardError};
 use crate::plan::{plan_shards, Shard};
-use hummer_core::{HummerConfig, PipelineOutcome, PreparedSources, StageTimings};
+use hummer_core::{stages, HummerConfig, PipelineOutcome, PreparedSources, StageTimings};
 use hummer_dupdetect::{
     annotate_object_ids, score_candidates, sort_pairs_canonical, CandidateSpec, DetectionResult,
-    DetectorConfig, DuplicatePair, HeuristicConfig, TupleSimilarity, UnionFind, OBJECT_ID_COLUMN,
+    DetectorConfig, DuplicatePair, HeuristicConfig, TupleSimilarity, UnionFind,
 };
 use hummer_engine::{ExecutionLayout, Row, Table, Value};
 use hummer_fusion::{
     fuse, CellLineage, FunctionRegistry, FusionSpec, ResolutionSpec, SampleConflict,
 };
-use hummer_matching::{integrate_with_layout, match_star_par, SOURCE_ID_COLUMN};
 use hummer_obs::Span;
 use hummer_par::Parallelism;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything a worker needs to execute shards besides the table and the
 /// shard list: the resolved detector scalars and the query's resolution
@@ -182,15 +181,12 @@ pub fn run_shard(
     };
     let annotated = annotate_object_ids(&local, &detection)?;
 
-    // 4. Fuse with the same spec shape as `fuse_prepared`.
-    let mut fspec = FusionSpec::by_key(vec![OBJECT_ID_COLUMN])
-        .drop_column(OBJECT_ID_COLUMN)
-        .drop_column(SOURCE_ID_COLUMN)
-        .with_parallelism(par);
-    for (col, rspec) in resolutions {
-        fspec = fspec.resolve(col.clone(), rspec.clone());
-    }
-    let fused = fuse(&annotated, &fspec, registry)?;
+    // 4. Fuse with the same spec as `fuse_prepared`.
+    let fused = fuse(
+        &annotated,
+        &FusionSpec::by_object_id(resolutions, par),
+        registry,
+    )?;
     debug_assert_eq!(fused.table.len(), clusters.len());
 
     // 5. Package: remap lineage to global rows, tag clusters with their
@@ -380,7 +376,7 @@ pub fn execute_sharded(
 
 /// [`execute_sharded`] with an explicit backend and parent span. Stage
 /// spans (`match`, `transform`, `plan`, `scatter`, `combine`) nest under
-/// `parent`.
+/// `parent`; detection is timed by `plan` + `scatter`.
 pub fn execute_sharded_with(
     tables: &[&Table],
     config: &HummerConfig,
@@ -390,22 +386,9 @@ pub fn execute_sharded_with(
     backend: &dyn ShardBackend,
     parent: &Span,
 ) -> Result<ShardedOutcome> {
-    let mut timings = StageTimings::default();
-
     // Global stages: matching and transformation (see module docs).
-    let mut span = parent.child("match");
-    let t0 = Instant::now();
-    let match_results = match_star_par(tables, &config.matcher, config.parallelism);
-    timings.matching = t0.elapsed();
-    span.count("tables", tables.len() as u64);
-    drop(span);
-
-    let mut span = parent.child("transform");
-    let t0 = Instant::now();
-    let integrated = integrate_with_layout(tables, &match_results, "Integrated", config.layout)?;
-    timings.transformation = t0.elapsed();
-    span.count("union_rows", integrated.len() as u64);
-    drop(span);
+    let (match_results, matching) = stages::match_sources(tables, config, parent);
+    let (integrated, transformation) = stages::transform(tables, &match_results, config, parent)?;
 
     let cfg = config.detector_config();
     let attrs = hummer_dupdetect::resolve_attributes(&integrated, &cfg)?;
@@ -414,13 +397,12 @@ pub fn execute_sharded_with(
         .map(|&i| integrated.schema().column(i).name.clone())
         .collect();
 
-    let t0 = Instant::now();
     let mut span = parent.child("plan");
     let plan = plan_shards(&integrated, &cfg, k)?;
     span.count("shards", plan.shards.len() as u64);
     span.count("components", plan.components as u64);
     span.count("candidates", plan.candidates as u64);
-    drop(span);
+    let planning = span.finish();
 
     let spec = JobSpec {
         attributes: attributes.clone(),
@@ -445,18 +427,21 @@ pub fn execute_sharded_with(
     span.count("requests", stats.requests as u64);
     span.count("retries", stats.retries as u64);
     span.count("fallbacks", stats.fallbacks as u64);
-    drop(span);
-    timings.detection = t0.elapsed();
+    let scatter = span.finish();
 
-    let t0 = Instant::now();
     let mut span = parent.child("combine");
     let combined = combine_partials(&integrated, attributes, partials)?;
-    timings.fusion = t0.elapsed();
     span.count("clusters", combined.detection.object_count() as u64);
     span.count("fused_rows", combined.table.len() as u64);
     span.count("conflicts", combined.conflict_count as u64);
-    drop(span);
+    let fusion = span.finish();
 
+    let timings = StageTimings {
+        matching,
+        transformation,
+        detection: planning + scatter,
+        fusion,
+    };
     let prepared = PreparedSources {
         match_results: match_results.clone(),
         integrated: integrated.clone(),
